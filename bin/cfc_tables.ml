@@ -237,7 +237,14 @@ let mcheck_cmd =
              stats.Cfc_mcheck.Explore.fp_collisions
          else "")
         (if stats.Cfc_mcheck.Explore.truncated then ", some branches truncated"
-         else "")
+         else "");
+      if stats.Cfc_mcheck.Explore.probe_calls > 0 then
+        Printf.printf
+          "commutation probes: %d asked, %d answered by the memo, %d probe \
+           nodes run\n"
+          stats.Cfc_mcheck.Explore.probe_calls
+          stats.Cfc_mcheck.Explore.probe_memo
+          stats.Cfc_mcheck.Explore.probe_nodes
     | Cfc_mcheck.Explore.Violation { schedule; violation; _ } ->
       Format.printf "VIOLATION: %a@.schedule: %s@." Cfc_core.Spec.pp_violation
         violation

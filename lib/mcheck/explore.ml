@@ -15,6 +15,9 @@ type stats = {
   fp_collisions : int;
   seen_pop : int;
   seen_cap : int;
+  probe_calls : int;
+  probe_memo : int;
+  probe_nodes : int;
   truncated : bool;
 }
 
@@ -112,6 +115,9 @@ type counters = {
   mutable fp_collisions : int;
   mutable seen_pop : int;
   mutable seen_cap : int;
+  mutable probe_calls : int;
+  mutable probe_memo : int;
+  mutable probe_nodes : int;
   mutable cutoffs : int;
       (* depth/step-budget cutoffs below the current node — a subtree is
          marked fully explored (sharable across branches) only when this
@@ -121,8 +127,8 @@ type counters = {
 
 let new_counters () =
   { runs = 0; states = 0; pruned_dedup = 0; pruned_sym = 0; pruned_por = 0;
-    fp_collisions = 0; seen_pop = 0; seen_cap = 0; cutoffs = 0;
-    truncated = false }
+    fp_collisions = 0; seen_pop = 0; seen_cap = 0; probe_calls = 0;
+    probe_memo = 0; probe_nodes = 0; cutoffs = 0; truncated = false }
 
 let cutoff c =
   c.truncated <- true;
@@ -132,7 +138,9 @@ let stats_of c : stats =
   { runs = c.runs; states = c.states; pruned_dedup = c.pruned_dedup;
     pruned_sym = c.pruned_sym; pruned_por = c.pruned_por;
     fp_collisions = c.fp_collisions; seen_pop = c.seen_pop;
-    seen_cap = c.seen_cap; truncated = c.truncated }
+    seen_cap = c.seen_cap; probe_calls = c.probe_calls;
+    probe_memo = c.probe_memo; probe_nodes = c.probe_nodes;
+    truncated = c.truncated }
 
 (* ------------------------------------------------------------------ *)
 (* The seen set.  One abstraction covers the four storage shapes the
@@ -540,6 +548,45 @@ let run_replay ~config ?seen_hint ?observe ~sym ~pairs ~system ~check () =
    (exactly the [obs] lists maintained here, which double as the state
    key's per-process component). *)
 
+(* The probe memo's key: the others-projection of the probed child state
+   s·a.  [pk_key] is its raw key (POR-canonical observations) with
+   [pk_p]'s entry blanked — others-only steps never read p's local
+   state — and [pk_steps] the step counts, p's zeroed (the probe's
+   candidates are filtered on [max_steps_per_proc]). *)
+type probe_key = {
+  pk_key : State_key.t;
+  pk_p : int;
+  pk_used : int;
+  pk_steps : int array;
+}
+
+module Ptbl = Hashtbl.Make (struct
+  type t = probe_key
+
+  let equal a b =
+    a.pk_p = b.pk_p && a.pk_used = b.pk_used && a.pk_steps = b.pk_steps
+    && State_key.equal a.pk_key b.pk_key
+
+  let hash k =
+    Array.fold_left
+      (fun h v -> (h * 31) + v)
+      (State_key.hash k.pk_key + (k.pk_p * 65599) + k.pk_used)
+      k.pk_steps
+    land max_int
+end)
+
+(* What the probes from one memo key saw, not what they answered:
+   [w_fp] is the union of the value-aware footprints of every access
+   reached, [w_region] whether any step reached changed a region,
+   [w_complete] whether one probe explored the whole reachable set, and
+   [w_budget_out] whether one ran out of budget. *)
+type probe_seen = {
+  mutable w_fp : Independence.fp;
+  mutable w_region : bool;
+  mutable w_complete : bool;
+  mutable w_budget_out : bool;
+}
+
 (* Partial-order reduction state, present only when an independence hint
    is active.  [p_canon]/[p_meta] are the canonical observation lists the
    memo key uses instead of the raw ones: completed busy-wait iterations
@@ -549,12 +596,19 @@ let run_replay ~config ?seen_hint ?observe ~sym ~pairs ~system ~check () =
    cycle cut already assumes — a spin iteration that kept the process in
    the loop left no trace in its local state (DESIGN.md §2 records the
    assumption).  The raw [i_obs] lists are untouched — they feed the
-   scheduler's rebuild oracle and must remain the exact history. *)
+   scheduler's rebuild oracle and must remain the exact history.
+
+   [p_seen] and [p_memo] belong to the singleton-ample probe
+   ([others_commute]): its per-probe dedup table, cleared and reused, and
+   what every probe of this search learned about the others-only
+   subsystems it explored. *)
 type por_state = {
   p_tr : Independence.tracker;
   p_canon : State_key.cell list array;  (* per pid, newest first *)
   p_meta : (int * bool) list array;
       (* parallel to [p_canon]: (hash after this cell, cycle-member) *)
+  p_seen : unit Tbl.t;
+  p_memo : probe_seen Ptbl.t;
 }
 
 type inc_state = {
@@ -568,6 +622,9 @@ type inc_state = {
   i_trace : Trace.t;
   i_obs : State_key.cell list array;  (* per pid, newest first *)
   i_obs_hash : int array;  (* per pid, rolling State_key.cell_hash fold *)
+  i_pk : State_key.proc_key array;
+      (* per pid, the last key component built ([state_key_of] reuses it
+         while unchanged) *)
   i_nprocs : int;
   i_inc : Inc.run;
   i_seen : Seen.t;
@@ -589,6 +646,12 @@ type checkpoint = {
     option;
 }
 
+(* A key component no state has (status -1): the never-matching seed of
+   the [i_pk] cache, and the blanked entry of a probe memo key. *)
+let blank_proc =
+  { State_key.k_status = -1; k_region = Event.Remainder; k_obs_hash = 0;
+    k_obs = [] }
+
 let make_inc_state ~config ~sym ~pairs ~branch ~system ~inc ~ind ~seen ~c
     ~observe =
   let memory, procs = system () in
@@ -604,12 +667,15 @@ let make_inc_state ~config ~sym ~pairs ~branch ~system ~inc ~ind ~seen ~c
       Some
         { p_tr = Independence.track t ~nprocs;
           p_canon = Array.make nprocs [];
-          p_meta = Array.make nprocs [] }
+          p_meta = Array.make nprocs [];
+          p_seen = Tbl.create 256;
+          p_memo = Ptbl.create 1024 }
   in
   { i_config = config; i_fresh_only = fresh_only_of ~sym ~ind; i_sym = sym;
     i_pairs = pairs; i_branch = branch; i_memory = memory; i_sched = sched;
     i_trace = trace; i_obs = obs;
-    i_obs_hash = Array.make (Array.length procs) 0; i_nprocs = nprocs;
+    i_obs_hash = Array.make (Array.length procs) 0;
+    i_pk = Array.make nprocs blank_proc; i_nprocs = nprocs;
     i_inc = Inc.start inc ~nprocs; i_seen = seen; i_c = c; i_por = por;
     i_observe = observe }
 
@@ -626,13 +692,13 @@ let make_inc_state ~config ~sym ~pairs ~branch ~system ~inc ~ind ~seen ~c
    register values in the key.  The scan stops at the first non-cycle
    cell, so loop exits and later re-entries (harness rounds) never
    collapse across. *)
-let drop_reentry obs meta ~reg ~cls =
+let drop_reentry obs meta ~reg ~code =
   let rec scan obs meta =
     match (obs, meta) with
     | cl :: obs', (_, true) :: meta' ->
       if
         cl.State_key.reg = reg
-        && String.equal (Independence.class_of_kind cl.State_key.kind) cls
+        && Independence.class_code cl.State_key.kind = code
       then Some (obs', meta')
       else scan obs' meta'
     | _, _ -> None
@@ -675,7 +741,7 @@ let apply st a =
           if is_cyc then
             match
               drop_reentry por.p_canon.(pid) por.p_meta.(pid)
-                ~reg:r.Register.id ~cls:(Independence.class_of_kind k)
+                ~reg:r.Register.id ~code:(Independence.class_code k)
             with
             | Some om -> om
             | None -> (por.p_canon.(pid), por.p_meta.(pid))
@@ -691,13 +757,15 @@ let apply st a =
   done;
   !access
 
-let save st ~regvals ~tracelen =
+(* [spec:false] leaves the incremental checker out: the probe's
+   checkpoints never need it, since the probe never feeds the spec. *)
+let save ?(spec = true) st ~regvals ~tracelen =
   { ck_sched = Scheduler.snapshot st.i_sched;
     ck_regvals = regvals;
     ck_tracelen = tracelen;
     ck_obs = Array.copy st.i_obs;
     ck_obs_hash = Array.copy st.i_obs_hash;
-    ck_inc = st.i_inc.Inc.save ();
+    ck_inc = (if spec then st.i_inc.Inc.save () else ignore);
     ck_por =
       (match st.i_por with
       | None -> None
@@ -721,24 +789,37 @@ let rollback st ck =
     Independence.restore por.p_tr snap
   | _, _ -> ()
 
-let state_key_of st ~regvals ~used =
+(* A pid's key component is rebuilt only when it changed since the last
+   key: most steps move one process, so most components (and the memo
+   tables' copies of them) are shared. *)
+let proc_key_of st pid =
+  let status = State_key.status_tag (Scheduler.status st.i_sched pid) in
+  let region = Scheduler.region st.i_sched pid in
   let obs, obs_hash =
     match st.i_por with
     | Some por ->
-      ( (fun pid -> por.p_canon.(pid)),
-        fun pid ->
-          match por.p_meta.(pid) with [] -> 0 | (h, _) :: _ -> h )
-    | None -> ((fun pid -> st.i_obs.(pid)), fun pid -> st.i_obs_hash.(pid))
+      ( por.p_canon.(pid),
+        match por.p_meta.(pid) with [] -> 0 | (h, _) :: _ -> h )
+    | None -> (st.i_obs.(pid), st.i_obs_hash.(pid))
   in
-  ( { State_key.k_regvals = regvals;
-      k_procs =
-        Array.init st.i_nprocs (fun pid ->
-            { State_key.k_status =
-                State_key.status_tag (Scheduler.status st.i_sched pid);
-              k_region = Scheduler.region st.i_sched pid;
-              k_obs_hash = obs_hash pid;
-              k_obs = obs pid }) },
-    used )
+  let last = st.i_pk.(pid) in
+  if
+    last.State_key.k_status = status
+    && last.k_region = region && last.k_obs_hash = obs_hash
+    && last.k_obs == obs
+  then last
+  else begin
+    let pk =
+      { State_key.k_status = status; k_region = region;
+        k_obs_hash = obs_hash; k_obs = obs }
+    in
+    st.i_pk.(pid) <- pk;
+    pk
+  end
+
+let state_key_of st ~regvals =
+  { State_key.k_regvals = regvals;
+    k_procs = Array.init st.i_nprocs (proc_key_of st) }
 
 (* ---- symmetry canonicalisation of memo keys ---- *)
 
@@ -753,14 +834,15 @@ type keyed = {
   kk_pi : int array option;
 }
 
-let canon_key_of st ~regvals ~used =
-  let raw = state_key_of st ~regvals ~used in
+let canon_of st raw ~used =
   match st.i_sym with
-  | None -> { kk_key = raw; kk_rewritten = false; kk_pi = None }
+  | None -> { kk_key = (raw, used); kk_rewritten = false; kk_pi = None }
   | Some s ->
-    let k, u = raw in
-    let k', pi = Symmetry.canon s k in
-    { kk_key = (k', u); kk_rewritten = pi <> None; kk_pi = pi }
+    let k, pi = Symmetry.canon s raw in
+    { kk_key = (k, used); kk_rewritten = pi <> None; kk_pi = pi }
+
+let canon_key_of st ~regvals ~used =
+  canon_of st (state_key_of st ~regvals) ~used
 
 let perm_sleep pi sleep =
   match pi with
@@ -798,7 +880,7 @@ let filter_sleep st por sleep access ~before =
     match access with
     | None -> sleep
     | Some (_, r, k) ->
-      let changed = Memory.values st.i_memory <> before in
+      let changed = not (Memory.values_equal st.i_memory before) in
       let afp = Independence.fp_of_access ~changed ~reg:r.Register.id k in
       let s = ref 0 in
       for t = 0 to st.i_nprocs - 1 do
@@ -840,14 +922,15 @@ exception Sub_budget
 (* The dynamic side of the singleton-ample check: a bounded exhaustive
    exploration of the others-only subsystem (every process but [p],
    crash-free — reduction is gated to pairs = 0) from the current state,
-   which is the CHILD state s·a of the step under probe.  [Step p] may
-   stand alone for the whole ample set only if no access any other
-   process can reach without p's help conflicts with a's footprint
-   [afp]: an others-only path from the parent s that behaves differently
-   than from s·a must first read a register a wrote, and that very read
-   occurs (at the same position) along the probe, tripping the conflict
-   check.  Paths that need p to move again are covered by the child's
-   own subtree.
+   which is the CHILD state s·a of the step under probe ([key] and
+   [regvals] are its raw key and register values).  [Step p] may stand
+   alone for the whole ample set only if no access any other process can
+   reach without p's help conflicts with a's footprint [afp]: an
+   others-only path from the parent s that behaves differently than from
+   s·a must first read a register a wrote, and that very read occurs (at
+   the same position) along the probe, tripping the conflict check.
+   Paths that need p to move again are covered by the child's own
+   subtree.
 
    When a itself was visible ([a_visible]), the property monitors — all
    of which consume only the trace's region-change events, and detect a
@@ -861,54 +944,112 @@ exception Sub_budget
    about this concrete state, and the few hundred nodes it touches are
    not worth the canonicalisation work.
 
+   The memo ([por.p_memo], keyed on the others-projection of s·a) makes
+   repeated probes of one subsystem cheap without changing any answer.
+   A fresh probe answers false exactly when a conflicting access (or,
+   for a visible a, a region change) is reachable or the reachable set
+   costs at least [probe_budget] visits — a count of 1 + the summed
+   out-degree of the reachable states, whatever the DFS order.  So a
+   conflict with anything some earlier probe reached, or an earlier
+   budget exhaustion, answers false; an earlier complete exploration
+   with no conflict answers true; otherwise the probe runs (with its
+   early exit) and folds what it reached into the entry.  The memo is
+   per search and dropped whenever it reaches [probe_memo_cap] entries,
+   which bounds its heap.
+
    The probe restores the entry state on normal return and may leave it
    dirty on a negative answer — callers roll back to their own
    checkpoint before trying anything else. *)
-let others_commute st ~p ~afp ~a_visible ~used =
-  let config = st.i_config in
-  let seen : unit Tbl.t = Tbl.create 256 in
-  let budget = ref 4096 in
-  let rec go () =
-    decr budget;
-    if !budget <= 0 then raise Sub_budget;
-    let regvals = Memory.values st.i_memory in
-    let key = state_key_of st ~regvals ~used in
-    if not (Tbl.mem seen key) then begin
-      Tbl.add seen key ();
-      let cands =
-        candidates_of st.i_sched ~config ~fresh_only:false ~pairs:0
-          ~nprocs:st.i_nprocs ~used
-        |> List.filter (function
-             | Step q -> q <> p
-             | Crash _ | Recover _ -> false)
-      in
-      match cands with
-      | [] -> ()
-      | cands ->
-        let tracelen = Trace.length st.i_trace in
-        let ck = save st ~regvals ~tracelen in
-        List.iter
-          (fun a ->
-            (match apply st a with
-            | Some (_, r, k) ->
-              let changed = Memory.values st.i_memory <> regvals in
-              if
-                Independence.conflict
-                  (Independence.fp_of_access ~changed ~reg:r.Register.id k)
-                  afp
-              then raise Sub_conflict
-            | None -> ());
-            if a_visible && step_visible st ~from:tracelen then
-              raise Sub_conflict;
-            go ();
-            rollback st ck)
-          cands
-    end
+let probe_budget = 4096
+let probe_memo_cap = 8192
+
+let others_commute st por ~p ~afp ~a_visible ~key ~regvals ~used =
+  let c = st.i_c in
+  c.probe_calls <- c.probe_calls + 1;
+  let procs = Array.copy key.State_key.k_procs in
+  procs.(p) <- blank_proc;
+  let mk =
+    { pk_key = { key with State_key.k_procs = procs }; pk_p = p;
+      pk_used = used;
+      pk_steps =
+        Array.init st.i_nprocs (fun q ->
+            if q = p then 0 else Scheduler.steps_taken st.i_sched q) }
   in
-  match go () with
-  | () -> true
-  | exception Sub_conflict -> false
-  | exception Sub_budget -> false
+  let w =
+    match Ptbl.find_opt por.p_memo mk with
+    | Some w -> w
+    | None ->
+      if Ptbl.length por.p_memo >= probe_memo_cap then Ptbl.reset por.p_memo;
+      let w =
+        { w_fp = Independence.fp_empty; w_region = false; w_complete = false;
+          w_budget_out = false }
+      in
+      Ptbl.add por.p_memo mk w;
+      w
+  in
+  if
+    w.w_budget_out
+    || Independence.conflict w.w_fp afp
+    || (a_visible && w.w_region)
+  then begin
+    c.probe_memo <- c.probe_memo + 1;
+    false
+  end
+  else if w.w_complete then begin
+    c.probe_memo <- c.probe_memo + 1;
+    true
+  end
+  else begin
+    let config = st.i_config and seen = por.p_seen in
+    Tbl.clear seen;
+    let budget = ref probe_budget in
+    let rec go key regvals =
+      c.probe_nodes <- c.probe_nodes + 1;
+      decr budget;
+      if !budget <= 0 then raise Sub_budget;
+      let population = Tbl.length seen in
+      Tbl.replace seen (key, used) ();
+      if Tbl.length seen > population then begin
+        let tracelen = Trace.length st.i_trace in
+        let ck = lazy (save ~spec:false st ~regvals ~tracelen) in
+        (* the others' steps, in [candidates_of]'s pid order *)
+        for q = 0 to st.i_nprocs - 1 do
+          if
+            q <> p
+            && Scheduler.status st.i_sched q = Scheduler.Runnable
+            && Scheduler.steps_taken st.i_sched q < config.max_steps_per_proc
+          then begin
+            let ck = Lazy.force ck in
+            (match apply st (Step q) with
+            | Some (_, r, k) ->
+              let fp =
+                Independence.fp_of_access
+                  ~changed:(not (Memory.values_equal st.i_memory regvals))
+                  ~reg:r.Register.id k
+              in
+              w.w_fp <- Independence.fp_union w.w_fp fp;
+              if Independence.conflict fp afp then raise Sub_conflict
+            | None -> ());
+            if step_visible st ~from:tracelen then begin
+              w.w_region <- true;
+              if a_visible then raise Sub_conflict
+            end;
+            let regvals' = Memory.values st.i_memory in
+            go (state_key_of st ~regvals:regvals') regvals';
+            rollback st ck
+          end
+        done
+      end
+    in
+    match go key regvals with
+    | () ->
+      w.w_complete <- true;
+      true
+    | exception Sub_conflict -> false
+    | exception Sub_budget ->
+      w.w_budget_out <- true;
+      false
+  end
 
 (* [from] is the trace length at the parent node: the incremental check
    consumes only the events the arriving action appended.  [sleep] is the
@@ -1057,7 +1198,8 @@ and expand_por st por schedule depth used ~trace_len ~regvals ~sleep candidates 
           let access = apply st a in
           let child_regvals = Memory.values st.i_memory in
           let child_used = bump_used used a in
-          let child_kk = canon_key_of st ~regvals:child_regvals ~used:child_used in
+          let child_raw = state_key_of st ~regvals:child_regvals in
+          let child_kk = canon_of st child_raw ~used:child_used in
           let child_sleep = filter_sleep st por sleep access ~before:regvals in
           (* the cycle proviso: never step a singleton onto a state still
              being expanded on the DFS stack — the other processes' steps
@@ -1071,13 +1213,13 @@ and expand_por st por schedule depth used ~trace_len ~regvals ~sleep candidates 
             &&
             match (a, access) with
             | Step p, Some (_, r, k) ->
-              others_commute st ~p
+              others_commute st por ~p
                 ~afp:
                   (Independence.fp_of_access
-                     ~changed:(child_regvals <> regvals)
+                     ~changed:(not (Memory.values_equal st.i_memory regvals))
                      ~reg:r.Register.id k)
                 ~a_visible:(step_visible st ~from:trace_len)
-                ~used:child_used
+                ~key:child_raw ~regvals:child_regvals ~used:child_used
             | _, None -> false (* a pause child shares the parent's key *)
             | (Crash _ | Recover _), _ -> false
           in
@@ -1309,6 +1451,9 @@ let run_inc_par ~config ?seen_hint ?observe ~sym ~compact ~share_seen ~pairs
       c.fp_collisions <- c.fp_collisions + s.fp_collisions;
       c.seen_pop <- c.seen_pop + s.seen_pop;
       c.seen_cap <- c.seen_cap + s.seen_cap;
+      c.probe_calls <- c.probe_calls + s.probe_calls;
+      c.probe_memo <- c.probe_memo + s.probe_memo;
+      c.probe_nodes <- c.probe_nodes + s.probe_nodes;
       c.truncated <- c.truncated || s.truncated
     done;
     (match shared with

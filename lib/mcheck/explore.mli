@@ -52,7 +52,8 @@
     subsystem from the child state, failing on any value-aware footprint
     conflict with the chosen access — and, when the chosen step changed
     a protocol region, on any reachable other-process region change,
-    since region sequences are all the property monitors consume); it
+    since region sequences are all the property monitors consume — or
+    when the walk outgrows its 4096-visit budget); it
     must not land on a state currently open on the DFS stack (the
     ignoring-problem cycle proviso); and sleeping processes ({e sleep
     sets}: already explored under an earlier sibling after
@@ -68,6 +69,31 @@
     static graph (conservative degradation, per process).  The reduced
     and unreduced searches are asserted to agree on every registry
     system and every broken fixture by the test suite.
+
+    {b Probe memo.}  Each search remembers what its probes learned, keyed
+    on the {e others-projection} of the probed child state: the probed
+    pid and crash budget, the register values, every other process's
+    key component (POR-canonical observations, as in the probe's own
+    dedup) and every other process's step count (the probe's candidates
+    are filtered on [max_steps_per_proc]); the probed process's own
+    entry is blanked, since others-only steps never read its local
+    state.  The entry records what was {e seen}, not an answer: the
+    union of the value-aware footprints of every access reached, whether
+    any reached step changed a region, whether one exploration finished
+    the reachable set, and whether one ran out of budget.  A fresh probe
+    answers false exactly when some reachable access conflicts (or, for
+    a visible step, some reachable step changes a region) or the
+    reachable set costs the whole budget — and that cost, one visit plus
+    the summed out-degree of the reachable states, does not depend on
+    the DFS order.  So the memo answers false on a budget exhaustion or
+    a conflict with anything already seen, true after a complete
+    conflict-free exploration, and otherwise runs the probe (keeping its
+    early exit) and folds what it reached into the entry: every answer
+    is the one a fresh probe gives, and verdicts, schedules and all
+    other stats are unchanged.  The memo is private to the search (one
+    per domain in parallel mode, no locking) and is dropped whenever it
+    reaches 8192 entries, which bounds its heap.  [probe_calls],
+    [probe_memo] and [probe_nodes] report its effect.
 
     {b Compact seen set} ([compact], incremental engine only): the memo
     stores two independent 62-bit fingerprints of each key
@@ -135,6 +161,15 @@ type stats = {
   seen_cap : int;
       (** seen-set initial capacity ([max_states] or the [seen_hint]);
           with private per-branch tables, the sum over branches *)
+  probe_calls : int;
+      (** singleton-ample commutation probes asked (see the module
+          docstring); always 0 without an [independence] hint *)
+  probe_memo : int;
+      (** of [probe_calls], those the probe memo answered without
+          exploring *)
+  probe_nodes : int;
+      (** budget-counted probe steps actually run (every visit of the
+          others-only exploration, revisits included) *)
   truncated : bool;  (** some branch hit a bound *)
 }
 
@@ -236,7 +271,9 @@ val run :
     times (once per node that performs or — on the replay engine —
     re-executes it), so consumers must deduplicate; the set of (pid,
     register, kind) triples delivered is the set of accesses in the
-    explored prefix tree, on either engine.  With [domains > 1] the
+    explored prefix tree, on either engine (under [independence] also
+    the steps the commutation probe runs — those of probes the memo
+    answers are not repeated).  With [domains > 1] the
     callback fires concurrently from worker domains and must be
     thread-safe. *)
 

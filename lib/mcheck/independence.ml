@@ -12,8 +12,6 @@ let fp_empty = { f_read = 0; f_write = 0 }
 let fp_union a b =
   { f_read = a.f_read lor b.f_read; f_write = a.f_write lor b.f_write }
 
-let fp_equal a b = a.f_read = b.f_read && a.f_write = b.f_write
-
 let conflict a b =
   a.f_write land (b.f_read lor b.f_write) <> 0
   || b.f_write land a.f_read <> 0
@@ -29,6 +27,29 @@ let class_of_kind : Event.access_kind -> string = function
   | Event.A_xchg _ -> "xchg"
   | Event.A_cas _ -> "cas"
   | Event.A_bit (op, _) -> "bit:" ^ Cfc_base.Ops.to_string op
+
+(* Int codes for the op classes: the five word operations, then the eight
+   bit operations by their paper index.  The hot paths (node matching,
+   cycle membership, spin canonicalisation) compare these instead of
+   class strings. *)
+let n_codes = 5 + List.length Cfc_base.Ops.all
+
+let class_code : Event.access_kind -> int = function
+  | Event.A_read _ -> 0
+  | Event.A_write _ -> 1
+  | Event.A_field _ -> 2
+  | Event.A_xchg _ -> 3
+  | Event.A_cas _ -> 4
+  | Event.A_bit (op, _) -> 5 + Cfc_base.Ops.to_index op
+
+let code_of_class =
+  let names = Hashtbl.create n_codes in
+  List.iter
+    (fun k -> Hashtbl.replace names (class_of_kind k) (class_code k))
+    (Event.A_read 0 :: Event.A_write 0 :: Event.A_field (0, 0, 0)
+     :: Event.A_xchg (0, 0) :: Event.A_cas (0, 0, false)
+     :: List.map (fun op -> Event.A_bit (op, None)) Cfc_base.Ops.all);
+  fun s -> match Hashtbl.find_opt names s with Some c -> c | None -> -1
 
 let fp_of_access ?(changed = true) ~reg (kind : Event.access_kind) =
   let bit = 1 lsl reg in
@@ -47,27 +68,21 @@ let fp_of_access ?(changed = true) ~reg (kind : Event.access_kind) =
 (* ------------------------------------------------------------------ *)
 (* The static model of one process: its access graph
    ([Cfc_analysis.Analyze]), re-indexed as arrays, with the footprint of
-   every node and the fixpoint union of footprints reachable from it. *)
+   every node. *)
 
-type ninfo = {
-  i_reg : int;
-  i_cls : string;
-  i_fp : fp;
-  i_cycle : bool;
-  i_may_end : bool;
-}
+type ninfo = { i_reg : int; i_code : int; i_fp : fp }
 
 type model = {
-  m_entry : int list;  (* nodes with baseline position 0 *)
+  m_entry : int list;  (* nodes with baseline position 0, ascending *)
   m_info : ninfo array;
   m_succ : int array array;
-  m_future : fp array;  (* [i_fp] unioned over graph-reachable nodes *)
-  m_cycset : (int * string, unit) Hashtbl.t;
-      (* (register, op class) pairs appearing on a detected busy-wait
-         cycle, occurrence-independent: the dynamic search prunes spin
-         unrolling long before it reaches the occurrence indices the
-         symbolic engine flagged, so membership must not depend on how
-         many times the instruction already executed *)
+  m_cyc : bool array;
+      (* indexed [reg * n_codes + code]: (register, op class) pairs
+         appearing on a detected busy-wait cycle, occurrence-independent:
+         the dynamic search prunes spin unrolling long before it reaches
+         the occurrence indices the symbolic engine flagged, so
+         membership must not depend on how many times the instruction
+         already executed *)
 }
 
 type t = { models : model option array }
@@ -94,7 +109,7 @@ let model_of_graph (g : Cfc_analysis.Analyze.graph) =
           let bit = 1 lsl n.n_reg in
           {
             i_reg = n.n_reg;
-            i_cls = n.n_class;
+            i_code = code_of_class n.n_class;
             i_fp =
               {
                 f_read = bit;
@@ -102,8 +117,6 @@ let model_of_graph (g : Cfc_analysis.Analyze.graph) =
                    conservatively so, since success is value-dependent *)
                 f_write = (if n.n_class = "read" then 0 else bit);
               };
-            i_cycle = n.n_cycle;
-            i_may_end = n.n_may_end;
           })
     in
     let entry = ref [] in
@@ -122,33 +135,19 @@ let model_of_graph (g : Cfc_analysis.Analyze.graph) =
       let succ =
         Array.map (fun l -> Array.of_list (List.sort_uniq compare l)) succ
       in
-      let future = Array.map (fun inf -> inf.i_fp) info in
-      let changed = ref true in
-      while !changed do
-        changed := false;
-        for i = 0 to nn - 1 do
-          let f =
-            Array.fold_left
-              (fun acc j -> fp_union acc future.(j))
-              future.(i) succ.(i)
-          in
-          if not (fp_equal f future.(i)) then begin
-            future.(i) <- f;
-            changed := true
-          end
-        done
-      done;
-      let cycset = Hashtbl.create 8 in
-      Array.iter
-        (fun inf -> if inf.i_cycle then Hashtbl.replace cycset (inf.i_reg, inf.i_cls) ())
+      let cyc = Array.make (max_reg_bits * n_codes) false in
+      Array.iteri
+        (fun i inf ->
+          (* a node of an unknown class never matches an access *)
+          if (node i).n_cycle && inf.i_code >= 0 then
+            cyc.((inf.i_reg * n_codes) + inf.i_code) <- true)
         info;
       Some
         {
           m_entry = List.sort compare !entry;
           m_info = info;
           m_succ = succ;
-          m_future = future;
-          m_cycset = cycset;
+          m_cyc = cyc;
         }
     end
   end
@@ -190,96 +189,128 @@ let detector ?config det (p : Cfc_mutex.Mutex_intf.params) =
 (* Dynamic position tracking: the set of graph nodes a process's next
    access may correspond to, advanced on every observed access.  A
    process whose accesses stop matching its graph (the bounded symbolic
-   exploration under-covered its behavior) degrades permanently to [Top]
-   — no static claim is made about it again, and the exploration around
-   it falls back to full expansion. *)
+   exploration under-covered its behavior) degrades permanently to
+   unknown — no static claim is made about it again, and the exploration
+   around it falls back to full expansion.
 
-type pos = Top | Nodes of int list  (* nonempty *)
+   Position sets are interned per process as small int ids (the entry set
+   is id 0; [-1] is unknown), with their next-step footprint precomputed,
+   and each (id, register, op class) transition is computed once and then
+   looked up: the checker observes the same few transitions millions of
+   times.  The tables are append-only, so ids stay valid across
+   {!restore}; they live in the tracker, not the shared model, so
+   domain-parallel searches never share them. *)
 
-type tracker = { t : t; pos : pos array }
-type snap = pos array
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash x = x land max_int
+end)
+
+type interner = {
+  x_model : model;
+  x_ids : (int list, int) Hashtbl.t;  (* sorted node set -> id *)
+  mutable x_sets : int list array;  (* id -> node set *)
+  mutable x_fps : fp option array;  (* id -> union footprint of the set *)
+  mutable x_n : int;
+  x_trans : int Itbl.t;  (* transition key -> next id, or -1 *)
+}
+
+type tracker = { pos : int array; ix : interner option array }
+type snap = int array
+
+let unknown = -1
+
+let intern x nodes =
+  match Hashtbl.find_opt x.x_ids nodes with
+  | Some id -> id
+  | None ->
+    let id = x.x_n in
+    if id = Array.length x.x_sets then begin
+      let grow a d = Array.append a (Array.make (max 8 id) d) in
+      x.x_sets <- grow x.x_sets [];
+      x.x_fps <- grow x.x_fps None
+    end;
+    x.x_sets.(id) <- nodes;
+    x.x_fps.(id) <-
+      Some
+        (List.fold_left
+           (fun acc i -> fp_union acc x.x_model.m_info.(i).i_fp)
+           fp_empty nodes);
+    x.x_n <- id + 1;
+    Hashtbl.add x.x_ids nodes id;
+    id
 
 let track t ~nprocs =
-  {
-    t;
-    pos =
-      Array.init nprocs (fun pid ->
-          if pid < Array.length t.models then
-            match t.models.(pid) with
-            | Some m -> Nodes m.m_entry
-            | None -> Top
-          else Top);
-  }
+  let ix =
+    Array.init nprocs (fun pid ->
+        if pid < Array.length t.models then
+          Option.map
+            (fun m ->
+              let x =
+                { x_model = m; x_ids = Hashtbl.create 16; x_sets = [||];
+                  x_fps = [||]; x_n = 0; x_trans = Itbl.create 64 }
+              in
+              ignore (intern x m.m_entry);
+              x)
+            t.models.(pid)
+        else None)
+  in
+  { pos = Array.map (function Some _ -> 0 | None -> unknown) ix; ix }
 
 let snapshot tr = Array.copy tr.pos
 let restore tr s = Array.blit s 0 tr.pos 0 (Array.length tr.pos)
 
-let model tr pid =
-  if pid < Array.length tr.t.models then tr.t.models.(pid) else None
+(* The position after [id] executes an access of class [code] on [reg]:
+   the successors of every matching node, or unknown when none
+   matches. *)
+let transition x id ~reg ~code =
+  let m = x.x_model in
+  let matched =
+    List.filter
+      (fun i -> m.m_info.(i).i_reg = reg && m.m_info.(i).i_code = code)
+      x.x_sets.(id)
+  in
+  match matched with
+  | [] -> unknown
+  | _ ->
+    let next =
+      List.sort_uniq compare
+        (List.concat_map (fun i -> Array.to_list m.m_succ.(i)) matched)
+    in
+    (* Past the last graph node the process either halts (and is never
+       consulted again) or starts its body over (the harness [rounds]
+       loop): restart the position at the entry. *)
+    if next = [] then 0 else intern x next
 
 let observe tr ~pid ~reg ~kind =
-  match tr.pos.(pid) with
-  | Top -> ()
-  | Nodes pos -> (
-    match model tr pid with
-    | None -> tr.pos.(pid) <- Top
-    | Some m -> (
-      let cls = class_of_kind kind in
-      let matched =
-        List.filter
-          (fun i -> m.m_info.(i).i_reg = reg && m.m_info.(i).i_cls = cls)
-          pos
-      in
-      match matched with
-      | [] -> tr.pos.(pid) <- Top
-      | _ ->
-        let next =
-          List.sort_uniq compare
-            (List.concat_map
-               (fun i -> Array.to_list m.m_succ.(i))
-               matched)
-        in
-        (* Past the last graph node the process either halts (and is
-           never consulted again) or starts its body over (the harness
-           [rounds] loop): restart the position at the entry. *)
-        let next = if next = [] then m.m_entry else next in
-        tr.pos.(pid) <- Nodes next))
+  let id = tr.pos.(pid) in
+  match tr.ix.(pid) with
+  | Some x when id <> unknown ->
+    tr.pos.(pid) <-
+      (if reg >= max_reg_bits then unknown
+       else
+         let code = class_code kind in
+         let key = (((id * max_reg_bits) + reg) * n_codes) + code in
+         match Itbl.find x.x_trans key with
+         | next -> next
+         | exception Not_found ->
+           let next = transition x id ~reg ~code in
+           Itbl.add x.x_trans key next;
+           next)
+  | Some _ | None -> ()
 
 let cycle_member tr ~pid ~reg ~kind =
-  match model tr pid with
+  match tr.ix.(pid) with
   | None -> false
-  | Some m -> Hashtbl.mem m.m_cycset (reg, class_of_kind kind)
+  | Some x ->
+    reg < max_reg_bits && x.x_model.m_cyc.((reg * n_codes) + class_code kind)
 
 let next_fp tr pid =
-  match tr.pos.(pid) with
-  | Top -> None
-  | Nodes pos -> (
-    match model tr pid with
-    | None -> None
-    | Some m ->
-      Some
-        (List.fold_left
-           (fun acc i -> fp_union acc m.m_info.(i).i_fp)
-           fp_empty pos))
+  let id = tr.pos.(pid) in
+  match tr.ix.(pid) with
+  | Some x when id <> unknown -> x.x_fps.(id)
+  | Some _ | None -> None
 
-let future_fp tr pid =
-  match tr.pos.(pid) with
-  | Top -> None
-  | Nodes pos -> (
-    match model tr pid with
-    | None -> None
-    | Some m ->
-      Some
-        (List.fold_left
-           (fun acc i -> fp_union acc m.m_future.(i))
-           fp_empty pos))
-
-let known tr pid = match tr.pos.(pid) with Top -> false | Nodes _ -> true
-
-let next_may_end tr pid =
-  match tr.pos.(pid) with
-  | Top -> true
-  | Nodes pos -> (
-    match model tr pid with
-    | None -> true
-    | Some m -> List.exists (fun i -> m.m_info.(i).i_may_end) pos)
+let known tr pid = tr.pos.(pid) <> unknown

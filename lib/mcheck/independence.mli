@@ -45,7 +45,18 @@ val fp_of_access :
     outcome, so its footprint carries no write bit. *)
 
 val class_of_kind : Cfc_runtime.Event.access_kind -> string
-(** The dynamic access's [Sym_mem.op_class] — the node-matching key. *)
+(** The dynamic access's [Sym_mem.op_class] — the op-class name the
+    analyzer writes on graph nodes. *)
+
+val class_code : Cfc_runtime.Event.access_kind -> int
+(** The op class as a small int in [0, 13): the five word operations,
+    then the eight bit operations by {!Cfc_base.Ops.to_index}.  Two kinds
+    share a code exactly when they share a {!class_of_kind} name — the
+    node-matching key of the tracker. *)
+
+val code_of_class : string -> int
+(** The code of a class name, so [code_of_class (class_of_kind k) =
+    class_code k]; [-1] for a name no access kind has. *)
 
 type t
 (** Per-process static models for one checked system ([None] for a
@@ -77,14 +88,33 @@ val of_report : Cfc_analysis.Analyze.report -> t
     describe the very system being checked — same process bodies, same
     register allocation order). *)
 
-(** {1 Dynamic position tracking} *)
+(** {1 Dynamic position tracking}
+
+    The tracker answers questions about a process's {e next} step only.
+    There is deliberately no static answer to the question the
+    checker's singleton-ample probe asks — may the other processes,
+    running on their own, reach an access that conflicts with the chosen
+    step?  A shortcut that answered it from the graphs (every other
+    runnable process's graph-reachable footprint conflict-free ⇒ skip
+    the probe) would change the search: the graphs come from a bounded
+    symbolic exploration that can under-cover contended behaviour — the
+    tracker notices an uncovered access only after it has executed — and
+    the probe also fails when the others-only subsystem outgrows its
+    node budget.  Measured on the checker's own workload: on
+    peterson-2p-tournament n=4 (POR + symmetry), 9 of the 1,201 invisible
+    probes where every other runnable process's graph future was
+    conflict-free still returned false; on tree-lamport n=3 the
+    condition held for only 1,594 of 52,819 probes, so it would not have
+    paid either. *)
 
 type tracker
 type snap
 
 val track : t -> nprocs:int -> tracker
 (** Fresh tracker with every process at its graph entry (processes
-    beyond the model count are unknown from the start). *)
+    beyond the model count are unknown from the start).  Each tracker
+    interns its own position sets and memoises its own transitions, so
+    one [t] may back trackers in several domains at once. *)
 
 val observe :
   tracker -> pid:int -> reg:int -> kind:Cfc_runtime.Event.access_kind -> unit
@@ -103,19 +133,14 @@ val next_fp : tracker -> int -> fp option
 (** Union footprint of the process's possible next accesses; [None] if
     unknown. *)
 
-val future_fp : tracker -> int -> fp option
-(** Union footprint of everything the process may still access (next
-    accesses and their graph closure); [None] if unknown. *)
-
 val known : tracker -> int -> bool
 (** Is the process still tracked (not degraded to unknown)?  The
     reduction refuses to build a singleton ample set around an
     unanalyzable process — it falls back to full expansion instead. *)
 
-val next_may_end : tracker -> int -> bool
-(** May the process's next access complete its body (and so decide /
-    halt / change protocol region)?  [true] when unknown — used as a
-    static pre-filter before the dynamic visibility probe. *)
-
 val snapshot : tracker -> snap
+(** O(nprocs): the positions only (interned ids stay valid forever). *)
+
 val restore : tracker -> snap -> unit
+(** Put every process back where the snapshot saw it — including a
+    process that degraded to unknown since. *)

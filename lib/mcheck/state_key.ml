@@ -45,7 +45,11 @@ let of_system memory sched trace =
             k_obs_hash = obs_hash.(pid);
             k_obs = obs.(pid) }) }
 
-let equal (a : t) (b : t) = a = b
+(* [compare], not [=]: it skips physically shared subterms — the
+   incremental engine reuses unchanged [proc_key] records and observation
+   tails across keys — and a key holds no floats, so it decides the same
+   equality. *)
+let equal (a : t) (b : t) = compare a b = 0
 
 (* Two independent multiply–xorshift lanes over the full key structure.
    Unlike [hash] (which leans on the rolling [k_obs_hash]), the

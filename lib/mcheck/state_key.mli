@@ -47,7 +47,9 @@ val of_system : Memory.t -> Scheduler.t -> Trace.t -> t
     hashes as events are appended instead). *)
 
 val equal : t -> t -> bool
-(** Structural — no hash collision can cause unsound pruning. *)
+(** Structural — no hash collision can cause unsound pruning.  Shares
+    are short-circuited: physically equal sub-keys compare equal without
+    being walked. *)
 
 val hash : t -> int
 (** O(nprocs + registers): combines the register values and each

@@ -45,6 +45,13 @@ let values t =
   done;
   a
 
+let values_equal t a =
+  Array.length a = t.next
+  &&
+  let regs = regs_arr t in
+  let rec go i = i = t.next || (regs.(i).Register.value = a.(i) && go (i + 1)) in
+  go 0
+
 let restore_values t a =
   if Array.length a <> t.next then invalid_arg "Memory.restore_values";
   let regs = regs_arr t in

@@ -41,6 +41,10 @@ val values : t -> int array
     {!restore_values}).  O(registers); the checkpoint half of the model
     checker's undo machinery. *)
 
+val values_equal : t -> int array -> bool
+(** [values_equal t a] is [values t = a] without building the copy: the
+    model checker asks it after every step it probes. *)
+
 val restore_values : t -> int array -> unit
 (** Write a {!values} snapshot back.  Raises [Invalid_argument] if the
     arena allocated registers since the snapshot was taken. *)

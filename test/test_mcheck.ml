@@ -813,6 +813,147 @@ let test_por_domains_equivalence () =
   check_bool "broken-lock: por domains=2 verdict+schedule = sequential" true
     (drop_stats (run 2) = drop_stats (run 1))
 
+(* The probe memo answers exactly what a fresh probe would, so the
+   reduced search on the paper's Theorem 3 algorithm is unchanged count
+   for count (the BENCH_mcheck.json row) and asks the same probes — while
+   running far fewer probe nodes than the 247,948 a memo-less search
+   runs. *)
+let test_probe_memo_tree_n3 () =
+  let config =
+    { Explore.max_depth = 90; max_steps_per_proc = 25; max_states = 150_000 }
+  in
+  let p = Mutex_intf.params 3 in
+  let independence = Option.get (Independence.mutex Registry.tree p) in
+  match Props.check_mutex ~config ~independence Registry.tree p with
+  | Explore.Violation _ -> Alcotest.fail "tree-lamport n=3 refuted"
+  | Explore.Ok s ->
+    let check_int = Alcotest.(check int) in
+    check_int "states" 60814 s.Explore.states;
+    check_int "runs" 463 s.Explore.runs;
+    check_int "pruned_dedup" 11381 s.Explore.pruned_dedup;
+    check_int "pruned_por" 59311 s.Explore.pruned_por;
+    check_int "seen_pop" 47571 s.Explore.seen_pop;
+    check_int "probe_calls" 52819 s.Explore.probe_calls;
+    check_bool "memo answers some probes" true (s.Explore.probe_memo > 0);
+    check_bool
+      (Printf.sprintf "probe_nodes %d <= 60%% of 247948" s.Explore.probe_nodes)
+      true
+      (s.Explore.probe_nodes * 100 <= 247948 * 60)
+
+(* ---- the position tracker ---- *)
+
+(* Every access kind class, with both outcomes where the kind has one. *)
+let all_kinds =
+  [ Event.A_read 0; Event.A_read 5; Event.A_write 3; Event.A_field (0, 1, 1);
+    Event.A_xchg (1, 0); Event.A_cas (0, 1, true); Event.A_cas (0, 1, false) ]
+  @ List.concat_map
+      (fun op -> [ Event.A_bit (op, None); Event.A_bit (op, Some 1) ])
+      Ops.all
+
+let test_class_codes () =
+  List.iter
+    (fun k ->
+      let name = Independence.class_of_kind k in
+      Alcotest.(check int) (name ^ " code") (Independence.class_code k)
+        (Independence.code_of_class name);
+      List.iter
+        (fun k' ->
+          check_bool
+            (name ^ " vs " ^ Independence.class_of_kind k')
+            (name = Independence.class_of_kind k')
+            (Independence.class_code k = Independence.class_code k'))
+        all_kinds)
+    all_kinds;
+  let codes = List.sort_uniq compare (List.map Independence.class_code all_kinds) in
+  Alcotest.(check (list int)) "13 dense codes" (List.init 13 Fun.id) codes;
+  Alcotest.(check int) "unknown class" (-1) (Independence.code_of_class "nop")
+
+(* The accesses process 0 performs running solo to completion in the
+   checked mutex arena, as (register id, kind). *)
+let solo_accesses alg p =
+  let memory, procs = Cfc_core.Mutex_harness.system alg p () in
+  let trace = Trace.create () in
+  let sched = Scheduler.create ~memory ~trace procs in
+  while Scheduler.status sched 0 = Scheduler.Runnable do
+    ignore (Scheduler.step sched 0)
+  done;
+  List.filter_map
+    (fun e ->
+      match e.Event.body with
+      | Event.Access (r, k) when e.Event.pid = 0 -> Some (r.Register.id, k)
+      | _ -> None)
+    (List.init (Trace.length trace) (Trace.get trace))
+
+let feed tr accesses =
+  List.iter (fun (reg, kind) -> Independence.observe tr ~pid:0 ~reg ~kind)
+    accesses
+
+(* Peterson's solo pass ends on a graph node with no successors (unlike
+   lamport-fast's, whose last node has some), so the pass exercises the
+   restart. *)
+let tracker_subject () =
+  let p = Mutex_intf.params 2 in
+  let alg = Registry.peterson_tournament in
+  let ind = Option.get (Independence.mutex alg p) in
+  let solo = solo_accesses alg p in
+  check_bool "solo run accesses shared memory" true (List.length solo > 2);
+  (ind, solo)
+
+(* Register 61 is the last bitmask slot; the two-process arena never
+   allocates it, so no graph node can match an access to it. *)
+let unmatched = (61, Event.A_read 0)
+
+let test_tracker_degrades () =
+  let ind, solo = tracker_subject () in
+  let tr = Independence.track ind ~nprocs:2 in
+  check_bool "known at entry" true (Independence.known tr 0);
+  feed tr [ unmatched ];
+  check_bool "unknown after an unmatched access" false
+    (Independence.known tr 0);
+  check_bool "no footprint" true (Independence.next_fp tr 0 = None);
+  (* accesses the graph does have no longer bring it back *)
+  feed tr solo;
+  check_bool "unknown for good" false (Independence.known tr 0);
+  check_bool "other process unaffected" true (Independence.known tr 1)
+
+let test_tracker_restarts_at_entry () =
+  let ind, solo = tracker_subject () in
+  let tr = Independence.track ind ~nprocs:2 in
+  let entry_fp = Independence.next_fp tr 0 in
+  feed tr solo;
+  check_bool "a whole solo pass stays on the graph" true
+    (Independence.known tr 0);
+  check_bool "back at the entry footprint" true
+    (Independence.next_fp tr 0 = entry_fp);
+  (* the next pass of the body matches from the entry again *)
+  feed tr solo;
+  check_bool "second pass stays on the graph" true (Independence.known tr 0);
+  check_bool "entry again" true (Independence.next_fp tr 0 = entry_fp)
+
+let test_tracker_snapshot_restore () =
+  let ind, solo = tracker_subject () in
+  let tr = Independence.track ind ~nprocs:2 in
+  let entry_fp = Independence.next_fp tr 0 in
+  let s0 = Independence.snapshot tr in
+  feed tr [ List.hd solo ];
+  let mid_fp = Independence.next_fp tr 0 in
+  let s1 = Independence.snapshot tr in
+  feed tr [ unmatched ];
+  check_bool "degraded" false (Independence.known tr 0);
+  let s2 = Independence.snapshot tr in
+  Independence.restore tr s1;
+  check_bool "restored to the middle" true
+    (Independence.known tr 0 && Independence.next_fp tr 0 = mid_fp);
+  (* the snapshot is a copy: later moves do not write through it *)
+  feed tr (List.tl solo);
+  Independence.restore tr s1;
+  check_bool "middle again" true (Independence.next_fp tr 0 = mid_fp);
+  Independence.restore tr s0;
+  check_bool "restored to the entry" true
+    (Independence.next_fp tr 0 = entry_fp);
+  Independence.restore tr s2;
+  check_bool "restored to unknown" false (Independence.known tr 0)
+
 (* [seen_hint] pre-sizes the memo table; apart from the reported capacity
    ([seen_cap], which is exactly what the hint overrides) it must be
    invisible in the result, reduced or not. *)
@@ -1361,6 +1502,15 @@ let () =
             test_por_domains_equivalence;
           Alcotest.test_case "seen_hint invisible" `Quick
             test_seen_hint_invisible;
+          Alcotest.test_case "probe memo: tree-lamport n=3 counts" `Slow
+            test_probe_memo_tree_n3;
+          Alcotest.test_case "tracker class codes" `Quick test_class_codes;
+          Alcotest.test_case "tracker degrades for good" `Quick
+            test_tracker_degrades;
+          Alcotest.test_case "tracker restarts at the entry" `Quick
+            test_tracker_restarts_at_entry;
+          Alcotest.test_case "tracker snapshot/restore" `Quick
+            test_tracker_snapshot_restore;
           QCheck_alcotest.to_alcotest prop_independent_steps_commute;
           Alcotest.test_case "commutation coverage floor" `Slow
             test_commutation_coverage ] );

@@ -531,6 +531,25 @@ let test_memory_fingerprint () =
   Memory.reset m;
   check "restored" f0 (Memory.fingerprint m)
 
+(* [values_equal] is [values m = a] without the copy: equal arrays, one
+   register off, and a snapshot from before a later allocation. *)
+let test_memory_values_equal () =
+  let m = Memory.create () in
+  let a = Memory.alloc ~width:8 ~init:1 m in
+  let _b = Memory.alloc ~width:8 ~init:2 m in
+  let snap = Memory.values m in
+  check_bool "equal arrays" true (Memory.values_equal m snap);
+  Register.write a 7;
+  check_bool "one register differs" false (Memory.values_equal m snap);
+  check_bool "agrees with values" true
+    (Memory.values_equal m (Memory.values m));
+  Memory.restore_values m snap;
+  check_bool "equal after restore" true (Memory.values_equal m snap);
+  ignore (Memory.alloc ~width:8 ~init:1 m);
+  check_bool "length mismatch" false (Memory.values_equal m snap);
+  check_bool "shorter than the arena" false
+    (Memory.values_equal m (Array.sub (Memory.values m) 0 2))
+
 (* qcheck: arbitrary interleavings of independent single-writer processes
    always produce per-process step counts equal to their program length. *)
 let prop_step_counts_independent =
@@ -872,6 +891,8 @@ let () =
             test_trace_fragment_bounds;
           Alcotest.test_case "memory fingerprint" `Quick
             test_memory_fingerprint;
+          Alcotest.test_case "memory values_equal" `Quick
+            test_memory_values_equal;
           Alcotest.test_case "folds stack-safe at a million events" `Quick
             test_trace_fold_million_events;
           QCheck_alcotest.to_alcotest prop_step_counts_independent;
