@@ -87,10 +87,13 @@ let geometric ~u ~mean =
    [Random.State], exactly as for [geometric]. *)
 type zipf = { z_n : int; z_theta : float; z_cum : float array }
 
-let zipf ~n ~theta =
-  if n < 1 then invalid_arg "Ixmath.zipf: n < 1";
-  if not (Float.is_finite theta) || theta < 0. then
-    invalid_arg "Ixmath.zipf: theta not finite and nonnegative";
+(* [z_cum] is never written after [build_zipf] returns, so one value can
+   serve every client of a population, across domains too.  The memo
+   holds the last distribution built: a run asks for one (n, theta) per
+   client, thousands of times in a row. *)
+let last_zipf : zipf option Atomic.t = Atomic.make None
+
+let build_zipf ~n ~theta =
   let cum = Array.make n 0. in
   let acc = ref 0. in
   for k = 0 to n - 1 do
@@ -105,6 +108,17 @@ let zipf ~n ~theta =
      at u -> 1 can never fall off the end of the search. *)
   cum.(n - 1) <- 1.0;
   { z_n = n; z_theta = theta; z_cum = cum }
+
+let zipf ~n ~theta =
+  if n < 1 then invalid_arg "Ixmath.zipf: n < 1";
+  if not (Float.is_finite theta) || theta < 0. then
+    invalid_arg "Ixmath.zipf: theta not finite and nonnegative";
+  match Atomic.get last_zipf with
+  | Some z when z.z_n = n && Float.equal z.z_theta theta -> z
+  | Some _ | None ->
+    let z = build_zipf ~n ~theta in
+    Atomic.set last_zipf (Some z);
+    z
 
 let zipf_n z = z.z_n
 let zipf_theta z = z.z_theta

@@ -69,8 +69,13 @@ type zipf
 
 val zipf : n:int -> theta:float -> zipf
 (** Precompute the CDF over ranks [0..n-1].  O(n) time and floats, built
-    once per key population.  Raises [Invalid_argument] if [n < 1] or
-    [theta] is negative or not finite. *)
+    once per key population: a one-entry memo returns the last
+    distribution built when [n] and [theta] ([Float.equal]) match, so
+    thousands of clients drawing from one population share one CDF
+    instead of rebuilding it each.  A [zipf] is immutable once built,
+    hence safe to share across clients and domains.  Raises
+    [Invalid_argument] if [n < 1] or [theta] is negative or not
+    finite. *)
 
 val zipf_n : zipf -> int
 val zipf_theta : zipf -> float

@@ -275,50 +275,134 @@ let decisions trace ~nprocs =
 (* Streaming measures                                                  *)
 
 module Online = struct
-  module S = Set.Make (Int)
+  (* Open-addressing int -> int table on two flat arrays: no bucket is
+     boxed per insert, so feeding an event allocates nothing unless a
+     table doubles.  Keys are register ids, all >= 0, so [-1] marks an
+     empty slot.  Linear probing from a multiplicative (Fibonacci)
+     hash; the table doubles past half load. *)
+  module Itbl = struct
+    type t = {
+      mutable keys : int array;
+      mutable vals : int array;
+      mutable size : int;
+      mutable shift : int;  (* 63 - log2 capacity *)
+    }
 
-  (* A mutable counterpart of [sample] under construction. *)
+    let create () =
+      { keys = Array.make 8 (-1); vals = Array.make 8 0; size = 0;
+        shift = 60 }
+
+    (* Odd 63-bit golden-ratio constant; the top bits of the product
+       spread consecutive ids across the table. *)
+    let[@inline] home t k = (k * 0x278DDE6E5FD29F05) lsr t.shift
+
+    (* The slot holding [k], or the empty slot where it would go. *)
+    let index t k =
+      let keys = t.keys in
+      let mask = Array.length keys - 1 in
+      let i = ref (home t k) in
+      while
+        let k' = keys.(!i) in
+        k' <> k && k' <> -1
+      do
+        i := (!i + 1) land mask
+      done;
+      !i
+
+    let[@inline] present t i k = t.keys.(i) = k
+
+    let grow t =
+      let keys = t.keys and vals = t.vals in
+      let cap = 2 * Array.length keys in
+      t.keys <- Array.make cap (-1);
+      t.vals <- Array.make cap 0;
+      t.shift <- t.shift - 1;
+      Array.iteri
+        (fun j k ->
+          if k >= 0 then begin
+            let i = index t k in
+            t.keys.(i) <- k;
+            t.vals.(i) <- vals.(j)
+          end)
+        keys
+
+    (* Insert [k] at [i], the empty slot [index t k] returned. *)
+    let add_at t i k v =
+      t.keys.(i) <- k;
+      t.vals.(i) <- v;
+      t.size <- t.size + 1;
+      if 2 * t.size > Array.length t.keys then grow t
+
+    let clear t =
+      if t.size > 0 then begin
+        Array.fill t.keys 0 (Array.length t.keys) (-1);
+        t.size <- 0
+      end
+  end
+
+  (* A mutable counterpart of [sample] under construction: one table
+     maps each register id to its access bits (1 read, 2 write), and the
+     three distinct-register counts go up when a bit is first set. *)
   type acc = {
     mutable a_steps : int;
     mutable a_reads : int;
     mutable a_writes : int;
-    a_seen : (int, unit) Hashtbl.t;
-    a_seen_r : (int, unit) Hashtbl.t;
-    a_seen_w : (int, unit) Hashtbl.t;
+    mutable a_regs : int;
+    mutable a_rregs : int;
+    mutable a_wregs : int;
+    a_seen : Itbl.t;
   }
 
   let acc_create () =
-    { a_steps = 0; a_reads = 0; a_writes = 0;
-      a_seen = Hashtbl.create 8; a_seen_r = Hashtbl.create 8;
-      a_seen_w = Hashtbl.create 8 }
+    { a_steps = 0; a_reads = 0; a_writes = 0; a_regs = 0; a_rregs = 0;
+      a_wregs = 0; a_seen = Itbl.create () }
 
   let acc_reset a =
     a.a_steps <- 0;
     a.a_reads <- 0;
     a.a_writes <- 0;
-    Hashtbl.reset a.a_seen;
-    Hashtbl.reset a.a_seen_r;
-    Hashtbl.reset a.a_seen_w
+    a.a_regs <- 0;
+    a.a_rregs <- 0;
+    a.a_wregs <- 0;
+    Itbl.clear a.a_seen
 
-  let acc_add a (r : Register.t) k =
+  let acc_add a id is_write =
     a.a_steps <- a.a_steps + 1;
-    Hashtbl.replace a.a_seen r.Register.id ();
-    if Event.is_write k then begin
-      a.a_writes <- a.a_writes + 1;
-      Hashtbl.replace a.a_seen_w r.Register.id ()
-    end
-    else begin
-      a.a_reads <- a.a_reads + 1;
-      Hashtbl.replace a.a_seen_r r.Register.id ()
-    end
+    let bit =
+      if is_write then begin
+        a.a_writes <- a.a_writes + 1;
+        2
+      end
+      else begin
+        a.a_reads <- a.a_reads + 1;
+        1
+      end
+    in
+    let seen = a.a_seen in
+    let i = Itbl.index seen id in
+    let old =
+      if Itbl.present seen i id then begin
+        let old = seen.Itbl.vals.(i) in
+        seen.Itbl.vals.(i) <- old lor bit;
+        old
+      end
+      else begin
+        a.a_regs <- a.a_regs + 1;
+        Itbl.add_at seen i id bit;
+        0
+      end
+    in
+    if old land bit = 0 then
+      if is_write then a.a_wregs <- a.a_wregs + 1
+      else a.a_rregs <- a.a_rregs + 1
 
   let acc_sample a =
     { steps = a.a_steps;
-      registers = Hashtbl.length a.a_seen;
+      registers = a.a_regs;
       read_steps = a.a_reads;
       write_steps = a.a_writes;
-      read_registers = Hashtbl.length a.a_seen_r;
-      write_registers = Hashtbl.length a.a_seen_w }
+      read_registers = a.a_rregs;
+      write_registers = a.a_wregs }
 
   type pstate = {
     mutable region : Event.region;
@@ -334,6 +418,8 @@ module Online = struct
     mutable rec_open : bool;
     mutable rec_rmr : int;
     mutable remote : int;
+    stamp : Itbl.t;     (* register id -> index of this pid's last access *)
+    mutable crashed_at : int;  (* index of this pid's last Crash, or -1 *)
   }
 
   type t = {
@@ -352,42 +438,70 @@ module Online = struct
     mutable recs : (int * sample) list;
     mutable rec_rmrs : (int * int) list;
     mutable decs : (int * int) list;
-    valid : (int, S.t) Hashtbl.t;
-        (* write-invalidate holders, [remote_accesses] semantics: no
-           crash eviction.  Sets instead of bitmasks, so any n *)
-    rvalid : (int, S.t) Hashtbl.t;
-        (* holders under the crash-evicting [recovery_rmr] semantics *)
-    reg_touched : (int, Register.t) Hashtbl.t;
+    last_write : Itbl.t;
+        (* register id -> index of its last write; -1 if touched but never
+           written; absent if untouched.  With the per-pid stamps this is
+           the write-invalidate holder state: pid holds r iff its own
+           last access to r is no older than r's last write *)
+    mutable touched : Register.t list;  (* one per [last_write] entry *)
   }
+
+  let new_pstate () =
+    { region = Event.Remainder;
+      total = acc_create (); cf = acc_create ();
+      entry = acc_create (); entry_gen = 0;
+      exit_ = acc_create (); rec_ = acc_create ();
+      rec_open = false; rec_rmr = 0; remote = 0;
+      stamp = Itbl.create (); crashed_at = -1 }
 
   let create ~nprocs =
     { o_nprocs = nprocs;
       procs = Hashtbl.create 64;
       events = 0; occupied = 0; clear_gen = 0;
       entries = []; exits = []; recs = []; rec_rmrs = []; decs = [];
-      valid = Hashtbl.create 64;
-      rvalid = Hashtbl.create 64;
-      reg_touched = Hashtbl.create 64 }
+      last_write = Itbl.create ();
+      touched = [] }
 
   let pstate t pid =
-    match Hashtbl.find_opt t.procs pid with
-    | Some p -> p
-    | None ->
+    match Hashtbl.find t.procs pid with
+    | p -> p
+    | exception Not_found ->
       if pid < 0 || pid >= t.o_nprocs then
         invalid_arg "Measures.Online: pid out of range";
-      let p =
-        { region = Event.Remainder;
-          total = acc_create (); cf = acc_create ();
-          entry = acc_create (); entry_gen = 0;
-          exit_ = acc_create (); rec_ = acc_create ();
-          rec_open = false; rec_rmr = 0; remote = 0 }
-      in
+      let p = new_pstate () in
       Hashtbl.replace t.procs pid p;
       p
 
   let in_cs_or_exit = function
     | Event.Critical | Event.Exiting -> true
     | Event.Remainder | Event.Trying | Event.Decided _ | Event.Halted -> false
+
+  (* Write-invalidate holder bookkeeping for one access of [p] at event
+     index [now].  Both holder tests read the state before this access:
+     [p] holds [r] ([remote_accesses] semantics) iff its own last access
+     is no older than [r]'s last write, and under [recovery_rmr]'s crash
+     eviction it must also postdate [p]'s last crash. *)
+  let holder_access t p (r : Register.t) is_write now =
+    let id = r.Register.id in
+    let lw_tbl = t.last_write in
+    let li = Itbl.index lw_tbl id in
+    let first_touch = not (Itbl.present lw_tbl li id) in
+    let lw = if first_touch then -1 else lw_tbl.Itbl.vals.(li) in
+    let stamp = p.stamp in
+    let si = Itbl.index stamp id in
+    let own_present = Itbl.present stamp si id in
+    let own = if own_present then stamp.Itbl.vals.(si) else -1 in
+    let holds = own >= 0 && own >= lw in
+    if not holds then p.remote <- p.remote + 1;
+    if p.rec_open && not (holds && own > p.crashed_at) then
+      p.rec_rmr <- p.rec_rmr + 1;
+    if own_present then stamp.Itbl.vals.(si) <- now
+    else Itbl.add_at stamp si id now;
+    if first_touch then begin
+      Itbl.add_at lw_tbl li id (if is_write then now else -1);
+      t.touched <- r :: t.touched
+    end
+    else if is_write then lw_tbl.Itbl.vals.(li) <- now
 
   let feed t ~pid body =
     let p = pstate t pid in
@@ -397,45 +511,27 @@ module Online = struct
     if t.occupied > 0 then t.clear_gen <- t.clear_gen + 1;
     (match body with
     | Event.Access (r, k) ->
-      Hashtbl.replace t.reg_touched r.Register.id r;
-      acc_add p.total r k;
-      (match pre with
-      | Event.Trying | Event.Exiting -> acc_add p.cf r k
-      | Event.Remainder | Event.Critical | Event.Decided _ | Event.Halted ->
-        ());
-      (* Entry-window candidate: only Trying accesses can land in a §2.2
-         window; an access is in the window iff no later event (itself
-         included) has an occupied pre-state, which the generation
-         counter tracks lazily. *)
+      let id = r.Register.id and w = Event.is_write k in
+      acc_add p.total id w;
       (match pre with
       | Event.Trying ->
+        acc_add p.cf id w;
+        (* Entry-window candidate: only Trying accesses can land in a
+           §2.2 window; an access is in the window iff no later event
+           (itself included) has an occupied pre-state, which the
+           generation counter tracks lazily. *)
         if p.entry_gen <> t.clear_gen then begin
           acc_reset p.entry;
           p.entry_gen <- t.clear_gen
         end;
-        if t.occupied = 0 then acc_add p.entry r k
-      | Event.Remainder | Event.Critical | Event.Exiting | Event.Decided _
-      | Event.Halted -> ());
-      (match pre with
-      | Event.Exiting -> acc_add p.exit_ r k
-      | Event.Remainder | Event.Trying | Event.Critical | Event.Decided _
-      | Event.Halted -> ());
-      if p.rec_open then acc_add p.rec_ r k;
-      (* remote_accesses semantics (no crash eviction) *)
-      let holders =
-        Option.value ~default:S.empty (Hashtbl.find_opt t.valid r.Register.id)
-      in
-      if not (S.mem pid holders) then p.remote <- p.remote + 1;
-      Hashtbl.replace t.valid r.Register.id
-        (if Event.is_write k then S.singleton pid else S.add pid holders);
-      (* recovery_rmr semantics (crash-evicted holders) *)
-      let rholders =
-        Option.value ~default:S.empty (Hashtbl.find_opt t.rvalid r.Register.id)
-      in
-      if (not (S.mem pid rholders)) && p.rec_open then
-        p.rec_rmr <- p.rec_rmr + 1;
-      Hashtbl.replace t.rvalid r.Register.id
-        (if Event.is_write k then S.singleton pid else S.add pid rholders)
+        if t.occupied = 0 then acc_add p.entry id w
+      | Event.Exiting ->
+        acc_add p.cf id w;
+        acc_add p.exit_ id w
+      | Event.Remainder | Event.Critical | Event.Decided _ | Event.Halted ->
+        ());
+      if p.rec_open then acc_add p.rec_ id w;
+      holder_access t p r w t.events
     | Event.Region_change r ->
       (* Close §2.2 entry windows: Trying -> Critical. *)
       (match r with
@@ -474,10 +570,11 @@ module Online = struct
       p.region <- r
     | Event.Crash ->
       (* Fragments are abandoned and the dying incarnation's cached
-         copies destroyed ([recovery_rmr] semantics); the region stays
+         copies destroyed ([recovery_rmr] semantics: no stamp older than
+         this event counts as a holder any more); the region stays
          stale on purpose — strong occupancy, as in Trace.fold_states. *)
       p.rec_open <- false;
-      Hashtbl.filter_map_inplace (fun _ h -> Some (S.remove pid h)) t.rvalid
+      p.crashed_at <- t.events
     | Event.Recover ->
       p.rec_open <- true;
       acc_reset p.rec_;
@@ -510,7 +607,7 @@ module Online = struct
 
   let remote_accesses t = Array.init t.o_nprocs (fun pid -> remote t ~pid)
 
-  let touched t = Hashtbl.fold (fun _ r acc -> r :: acc) t.reg_touched []
-  let touched_count t = Hashtbl.length t.reg_touched
+  let touched t = t.touched
+  let touched_count t = t.last_write.Itbl.size
   let spawned t = Hashtbl.length t.procs
 end

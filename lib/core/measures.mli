@@ -108,20 +108,28 @@ val remote_accesses : Trace.t -> nprocs:int -> int array
     the value its materialised counterpart computes on the recorded
     trace of the same run (asserted exhaustively by the equivalence
     gate in the test battery), with one deliberate widening:
-    {!Online.remote_accesses} uses pid {e sets} for the write-invalidate
-    holder bookkeeping instead of the 62-bit masks of
-    {!remote_accesses}, so it has no [nprocs <= 62] restriction (same
-    semantics where both are defined; see DESIGN.md §2).
+    {!Online.remote_accesses} has no [nprocs <= 62] restriction.  It
+    keeps the write-invalidate holders as access stamps instead of
+    {!remote_accesses}'s 62-bit masks: every register remembers the
+    event index of its last write, every process the index of its own
+    last access to it and of its last [Crash].  A process holds a valid
+    copy iff its own stamp is no older than the register's last write,
+    and, for {!Online.recovery_rmr}'s crash eviction, also newer than
+    its last crash (same semantics where both are defined; see
+    DESIGN.md §2).
 
     What the online fold {e cannot} give you is anything requiring
     random access into the past: [Trace.regions_at], stall diagnosis
     over recent events, or the model checker's truncate/undo — keep a
     {!Cfc_runtime.Trace.t} sink for those (small n only).
 
-    Memory is O(active set + completed fragments): per-process state is
-    allocated lazily at a pid's first event, and the per-register
-    holder tables grow with registers actually touched, never with
-    [nprocs]. *)
+    Memory is O(touched registers + per-pid accumulators + completed
+    fragments): per-process state is allocated lazily at a pid's first
+    event, and every table (last writes, a pid's stamps, its
+    distinct-register sets) grows with registers actually touched,
+    never with [nprocs].  Feeding an event allocates nothing beyond the
+    occasional table doubling, a pid's first event, a register's first
+    touch and a completed fragment or decision. *)
 module Online : sig
   type t
 

@@ -210,6 +210,39 @@ let test_zipf_edges () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "rank out of range accepted")
 
+(* The one-entry memo: alternating between populations must hand back
+   exactly the CDF a fresh build gives, and a repeated request the very
+   same value.  Each population's reference is taken right after a call
+   for a different one, so it is a fresh build. *)
+let test_zipf_memo () =
+  let pops = [| (64, 0.99); (64, 0.6); (100, 0.99) |] in
+  let cdf_of z = Array.init (Ixmath.zipf_n z) (Ixmath.zipf_cdf z) in
+  let fresh =
+    Array.map
+      (fun (n, theta) ->
+        ignore (Ixmath.zipf ~n:1 ~theta:0.);
+        cdf_of (Ixmath.zipf ~n ~theta))
+      pops
+  in
+  let prev = ref None in
+  List.iter
+    (fun i ->
+      let n, theta = pops.(i) in
+      let z = Ixmath.zipf ~n ~theta in
+      Alcotest.(check int) "memoised n" n (Ixmath.zipf_n z);
+      Alcotest.(check bool) "memoised theta" true
+        (Float.equal theta (Ixmath.zipf_theta z));
+      Alcotest.(check bool)
+        (Printf.sprintf "population %d: cdf = fresh build" i)
+        true
+        (cdf_of z = fresh.(i));
+      (match !prev with
+      | Some (j, z') when j = i ->
+        Alcotest.(check bool) "repeat request shares the value" true (z == z')
+      | _ -> ());
+      prev := Some (i, z))
+    [ 0; 1; 0; 0; 2; 1; 1; 0; 2; 2; 0 ]
+
 (* The CDF is exactly the normalized partial sums of k^-theta, monotone,
    ending at 1; a draw inverts it: cdf(k-1) <= u < cdf(k). *)
 let prop_zipf_cdf =
@@ -347,6 +380,7 @@ let () =
           Alcotest.test_case "mix_seed determinism + avalanche" `Quick
             test_mix_seed;
           Alcotest.test_case "zipf edge cases" `Quick test_zipf_edges;
+          Alcotest.test_case "zipf memo = fresh build" `Quick test_zipf_memo;
           QCheck_alcotest.to_alcotest prop_zipf_cdf;
           QCheck_alcotest.to_alcotest prop_zipf_draw_inverts;
           QCheck_alcotest.to_alcotest prop_zipf_empirical ] );

@@ -464,6 +464,48 @@ let test_kv_service_smoke () =
   check_bool "passthrough rmr zero" true
     (r.Cfc_native.Kv_service.rmr_per_op = 0.0)
 
+(* The domains share one Zipf CDF; each must still replay exactly the
+   op stream the wheel driver gives its client id.  Per-shard kind
+   counts are a function of the streams alone, so they are recomputed
+   here from [Ycsb.stream] built after the memo held another
+   population. *)
+let test_kv_service_replays_streams () =
+  let open Cfc_workload in
+  let config =
+    { Cfc_native.Kv_service.domains = 2; buckets = 8; keys = 1 lsl 10;
+      ops = 300; mean_think = 0; theta = 0.99; mix = Ycsb.mix_a; seed = 17 }
+  in
+  ignore (Ixmath.zipf ~n:64 ~theta:0.5);
+  let r = Cfc_native.Kv_service.run ~instrument:false Registry.mcs config in
+  ignore (Ixmath.zipf ~n:64 ~theta:0.5);
+  let expect = Array.make_matrix config.buckets 4 0 in
+  for client = 0 to config.domains - 1 do
+    let s =
+      Ycsb.stream ~seed:config.seed ~client ~nkeys:config.keys
+        ~theta:config.theta config.mix
+    in
+    for _ = 1 to config.ops do
+      let op = Ycsb.next s in
+      let b = Ycsb.key_of op mod config.buckets in
+      let k =
+        match op with
+        | Ycsb.Read _ -> 0
+        | Ycsb.Update _ -> 1
+        | Ycsb.Scan _ -> 2
+        | Ycsb.Rmw _ -> 3
+      in
+      expect.(b).(k) <- expect.(b).(k) + 1
+    done
+  done;
+  Array.iteri
+    (fun b sh ->
+      let open Cfc_native.Kv_service in
+      let got = [| sh.ks_reads; sh.ks_updates; sh.ks_scans; sh.ks_rmws |] in
+      Alcotest.(check (array int))
+        (Printf.sprintf "shard %d kind counts" b)
+        expect.(b) got)
+    r.Cfc_native.Kv_service.shards
+
 let () =
   Alcotest.run "cfc_native"
     [ ( "semantics",
@@ -498,4 +540,6 @@ let () =
             test_lock_service_crash_injection ] );
       ( "kv-service",
         [ Alcotest.test_case "sharded smoke + witnesses" `Slow
-            test_kv_service_smoke ] ) ]
+            test_kv_service_smoke;
+          Alcotest.test_case "domains replay the sim's op streams" `Slow
+            test_kv_service_replays_streams ] ) ]

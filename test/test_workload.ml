@@ -333,6 +333,33 @@ let test_ycsb_mix_frequencies () =
     | _ -> Alcotest.fail "mix E produced a non-scan non-rmw"
   done
 
+(* Clients of one population share its Zipf CDF.  Streams built while
+   other populations come and go must draw exactly what a stream built
+   first, from a fresh CDF, draws. *)
+let test_ycsb_shared_zipf () =
+  let take s = List.init 500 (fun _ -> Ycsb.next s) in
+  let big client =
+    Ycsb.stream ~seed:42 ~client ~nkeys:4096 ~theta:0.99 Ycsb.mix_a
+  in
+  let small client =
+    Ycsb.stream ~seed:42 ~client ~nkeys:1000 ~theta:0.6 Ycsb.mix_e
+  in
+  ignore (Ixmath.zipf ~n:7 ~theta:0.3);
+  let first_big = take (big 0) in
+  let first_small = take (small 1) in
+  for round = 1 to 3 do
+    let b1 = big 0 in
+    let b2 = big 0 in
+    let s1 = small 1 in
+    ignore (Ixmath.zipf ~n:7 ~theta:0.3);
+    let s2 = small 1 in
+    let tag what = Printf.sprintf "round %d: %s replays" round what in
+    check_bool (tag "big (fresh)") true (take b1 = first_big);
+    check_bool (tag "small (fresh)") true (take s1 = first_small);
+    check_bool (tag "big (shared)") true (take b2 = first_big);
+    check_bool (tag "small (rebuilt)") true (take s2 = first_small)
+  done
+
 let test_ycsb_stream_seeding () =
   let take s n = List.init n (fun _ -> Ycsb.next s) in
   let mk client =
@@ -475,7 +502,8 @@ let () =
       ( "ycsb",
         [ Alcotest.test_case "mix frequencies" `Quick
             test_ycsb_mix_frequencies;
-          Alcotest.test_case "stream seeding" `Quick test_ycsb_stream_seeding ] );
+          Alcotest.test_case "stream seeding" `Quick test_ycsb_stream_seeding;
+          Alcotest.test_case "shared zipf replays" `Quick test_ycsb_shared_zipf ] );
       ( "kv",
         [ Alcotest.test_case "complete and witness-clean" `Quick
             test_kv_complete_and_clean;
