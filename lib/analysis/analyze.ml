@@ -172,7 +172,7 @@ let merge_path g ~baseline ~ended ~cycle steps =
           let n =
             {
               n_reg = id;
-              n_name = s.s_reg.Register.name;
+              n_name = Register.name s.s_reg;
               n_width = s.s_reg.Register.width;
               n_class = cls;
               n_occ = occ;

@@ -332,17 +332,16 @@ module Online = struct
       t.vals.(i) <- v;
       t.size <- t.size + 1;
       if 2 * t.size > Array.length t.keys then grow t
-
-    let clear t =
-      if t.size > 0 then begin
-        Array.fill t.keys 0 (Array.length t.keys) (-1);
-        t.size <- 0
-      end
   end
 
-  (* A mutable counterpart of [sample] under construction: one table
-     maps each register id to its access bits (1 read, 2 write), and the
-     three distinct-register counts go up when a bit is first set. *)
+  (* A mutable counterpart of [sample] under construction.  The set of
+     registers it has seen is not kept here but in its process's one
+     register table (see [pstate]), as a 2-bit pair (1 read, 2 write)
+     per window; the three distinct-register counts go up when a bit of
+     the pair is first set.  [a_start] is the event index of the
+     window's last reset: a pair is valid iff the register's stamp (the
+     index of the process's last access to it) is no older, so a reset
+     is O(1) and never touches the table. *)
   type acc = {
     mutable a_steps : int;
     mutable a_reads : int;
@@ -350,51 +349,33 @@ module Online = struct
     mutable a_regs : int;
     mutable a_rregs : int;
     mutable a_wregs : int;
-    a_seen : Itbl.t;
+    mutable a_start : int;
   }
 
   let acc_create () =
     { a_steps = 0; a_reads = 0; a_writes = 0; a_regs = 0; a_rregs = 0;
-      a_wregs = 0; a_seen = Itbl.create () }
+      a_wregs = 0; a_start = 0 }
 
-  let acc_reset a =
+  let acc_reset a ~now =
     a.a_steps <- 0;
     a.a_reads <- 0;
     a.a_writes <- 0;
     a.a_regs <- 0;
     a.a_rregs <- 0;
     a.a_wregs <- 0;
-    Itbl.clear a.a_seen
+    a.a_start <- now
 
-  let acc_add a id is_write =
+  (* Count one access with bit [bit] (1 read, 2 write) into [a], whose
+     valid pair for the register is [pair]; returns the new pair. *)
+  let[@inline] acc_add a pair bit =
     a.a_steps <- a.a_steps + 1;
-    let bit =
-      if is_write then begin
-        a.a_writes <- a.a_writes + 1;
-        2
-      end
-      else begin
-        a.a_reads <- a.a_reads + 1;
-        1
-      end
-    in
-    let seen = a.a_seen in
-    let i = Itbl.index seen id in
-    let old =
-      if Itbl.present seen i id then begin
-        let old = seen.Itbl.vals.(i) in
-        seen.Itbl.vals.(i) <- old lor bit;
-        old
-      end
-      else begin
-        a.a_regs <- a.a_regs + 1;
-        Itbl.add_at seen i id bit;
-        0
-      end
-    in
-    if old land bit = 0 then
-      if is_write then a.a_wregs <- a.a_wregs + 1
-      else a.a_rregs <- a.a_rregs + 1
+    if bit = 2 then a.a_writes <- a.a_writes + 1
+    else a.a_reads <- a.a_reads + 1;
+    if pair = 0 then a.a_regs <- a.a_regs + 1;
+    if pair land bit = 0 then
+      if bit = 2 then a.a_wregs <- a.a_wregs + 1
+      else a.a_rregs <- a.a_rregs + 1;
+    pair lor bit
 
   let acc_sample a =
     { steps = a.a_steps;
@@ -403,6 +384,20 @@ module Online = struct
       write_steps = a.a_writes;
       read_registers = a.a_rregs;
       write_registers = a.a_wregs }
+
+  (* Layout of a [regs] value: the stamp above [stamp_shift] bits, then
+     one pair per window at these offsets. *)
+  let stamp_shift = 10
+  let sh_total = 0
+  let sh_cf = 2
+  let sh_entry = 4
+  let sh_exit = 6
+  let sh_rec = 8
+
+  (* [a]'s pair at [shift] in a register value [v] of stamp [own]: zero
+     if the window was reset since (or the register is untouched). *)
+  let[@inline] pair a ~own v shift =
+    if own >= a.a_start then (v lsr shift) land 3 else 0
 
   type pstate = {
     mutable region : Event.region;
@@ -418,7 +413,9 @@ module Online = struct
     mutable rec_open : bool;
     mutable rec_rmr : int;
     mutable remote : int;
-    stamp : Itbl.t;     (* register id -> index of this pid's last access *)
+    regs : Itbl.t;
+        (* register id -> (index of this pid's last access to it
+           lsl [stamp_shift]) lor one r/w pair per window *)
     mutable crashed_at : int;  (* index of this pid's last Crash, or -1 *)
   }
 
@@ -452,7 +449,7 @@ module Online = struct
       entry = acc_create (); entry_gen = 0;
       exit_ = acc_create (); rec_ = acc_create ();
       rec_open = false; rec_rmr = 0; remote = 0;
-      stamp = Itbl.create (); crashed_at = -1 }
+      regs = Itbl.create (); crashed_at = -1 }
 
   let create ~nprocs =
     { o_nprocs = nprocs;
@@ -476,27 +473,70 @@ module Online = struct
     | Event.Critical | Event.Exiting -> true
     | Event.Remainder | Event.Trying | Event.Decided _ | Event.Halted -> false
 
-  (* Write-invalidate holder bookkeeping for one access of [p] at event
-     index [now].  Both holder tests read the state before this access:
-     [p] holds [r] ([remote_accesses] semantics) iff its own last access
-     is no older than [r]'s last write, and under [recovery_rmr]'s crash
-     eviction it must also postdate [p]'s last crash. *)
-  let holder_access t p (r : Register.t) is_write now =
+  (* One access of [p] at event index [now], pre-state region [pre]: two
+     probes, its own register table and [last_write].  The register's
+     old stamp [own] drives both the window pairs and the holder tests.
+     Each of the five pairs is rewritten — counted into if the access
+     lies in its window, carried over otherwise — so a pair left stale
+     by a reset reads as zero from the first touch after it.  Both
+     holder tests read the state before this access: [p] holds [r]
+     ([remote_accesses] semantics) iff its own last access is no older
+     than [r]'s last write, and under [recovery_rmr]'s crash eviction it
+     must also postdate [p]'s last crash. *)
+  let access t p pre (r : Register.t) is_write now =
     let id = r.Register.id in
+    let bit = if is_write then 2 else 1 in
+    let regs = p.regs in
+    let ri = Itbl.index regs id in
+    let own_present = Itbl.present regs ri id in
+    let v = if own_present then regs.Itbl.vals.(ri) else 0 in
+    let own = if own_present then v lsr stamp_shift else -1 in
+    let total = acc_add p.total (pair p.total ~own v sh_total) bit in
+    let cf = pair p.cf ~own v sh_cf in
+    let cf =
+      match pre with
+      | Event.Trying | Event.Exiting -> acc_add p.cf cf bit
+      | Event.Remainder | Event.Critical | Event.Decided _ | Event.Halted -> cf
+    in
+    let entry =
+      match pre with
+      | Event.Trying ->
+        (* Entry-window candidate: only Trying accesses can land in a
+           §2.2 window; an access is in the window iff no later event
+           (itself included) has an occupied pre-state, which the
+           generation counter tracks lazily. *)
+        if p.entry_gen <> t.clear_gen then begin
+          acc_reset p.entry ~now;
+          p.entry_gen <- t.clear_gen
+        end;
+        let e = pair p.entry ~own v sh_entry in
+        if t.occupied = 0 then acc_add p.entry e bit else e
+      | Event.Remainder | Event.Critical | Event.Exiting | Event.Decided _
+      | Event.Halted -> pair p.entry ~own v sh_entry
+    in
+    let exit_ = pair p.exit_ ~own v sh_exit in
+    let exit_ =
+      match pre with
+      | Event.Exiting -> acc_add p.exit_ exit_ bit
+      | Event.Remainder | Event.Trying | Event.Critical | Event.Decided _
+      | Event.Halted -> exit_
+    in
+    let rec_ = pair p.rec_ ~own v sh_rec in
+    let rec_ = if p.rec_open then acc_add p.rec_ rec_ bit else rec_ in
+    let v' =
+      (now lsl stamp_shift) lor (total lsl sh_total) lor (cf lsl sh_cf)
+      lor (entry lsl sh_entry) lor (exit_ lsl sh_exit) lor (rec_ lsl sh_rec)
+    in
+    if own_present then regs.Itbl.vals.(ri) <- v'
+    else Itbl.add_at regs ri id v';
     let lw_tbl = t.last_write in
     let li = Itbl.index lw_tbl id in
     let first_touch = not (Itbl.present lw_tbl li id) in
     let lw = if first_touch then -1 else lw_tbl.Itbl.vals.(li) in
-    let stamp = p.stamp in
-    let si = Itbl.index stamp id in
-    let own_present = Itbl.present stamp si id in
-    let own = if own_present then stamp.Itbl.vals.(si) else -1 in
     let holds = own >= 0 && own >= lw in
     if not holds then p.remote <- p.remote + 1;
     if p.rec_open && not (holds && own > p.crashed_at) then
       p.rec_rmr <- p.rec_rmr + 1;
-    if own_present then stamp.Itbl.vals.(si) <- now
-    else Itbl.add_at stamp si id now;
     if first_touch then begin
       Itbl.add_at lw_tbl li id (if is_write then now else -1);
       t.touched <- r :: t.touched
@@ -510,28 +550,7 @@ module Online = struct
        mirroring the materialised scan's [last_occupied := e.seq]. *)
     if t.occupied > 0 then t.clear_gen <- t.clear_gen + 1;
     (match body with
-    | Event.Access (r, k) ->
-      let id = r.Register.id and w = Event.is_write k in
-      acc_add p.total id w;
-      (match pre with
-      | Event.Trying ->
-        acc_add p.cf id w;
-        (* Entry-window candidate: only Trying accesses can land in a
-           §2.2 window; an access is in the window iff no later event
-           (itself included) has an occupied pre-state, which the
-           generation counter tracks lazily. *)
-        if p.entry_gen <> t.clear_gen then begin
-          acc_reset p.entry;
-          p.entry_gen <- t.clear_gen
-        end;
-        if t.occupied = 0 then acc_add p.entry id w
-      | Event.Exiting ->
-        acc_add p.cf id w;
-        acc_add p.exit_ id w
-      | Event.Remainder | Event.Critical | Event.Decided _ | Event.Halted ->
-        ());
-      if p.rec_open then acc_add p.rec_ id w;
-      holder_access t p r w t.events
+    | Event.Access (r, k) -> access t p pre r (Event.is_write k) t.events
     | Event.Region_change r ->
       (* Close §2.2 entry windows: Trying -> Critical. *)
       (match r with
@@ -545,7 +564,7 @@ module Online = struct
          Exiting -> Exiting re-entry only restarts the fragment (same
          pattern precedence as the materialised scan). *)
       (match r with
-      | Event.Exiting -> acc_reset p.exit_
+      | Event.Exiting -> acc_reset p.exit_ ~now:t.events
       | _ when Event.region_equal pre Event.Exiting ->
         t.exits <- (pid, acc_sample p.exit_) :: t.exits
       | _ -> ());
@@ -558,7 +577,7 @@ module Online = struct
       | _ -> ());
       (match r with
       | Event.Trying ->
-        acc_reset p.entry;
+        acc_reset p.entry ~now:t.events;
         p.entry_gen <- t.clear_gen
       | _ -> ());
       (match r with
@@ -577,7 +596,7 @@ module Online = struct
       p.crashed_at <- t.events
     | Event.Recover ->
       p.rec_open <- true;
-      acc_reset p.rec_;
+      acc_reset p.rec_ ~now:t.events;
       p.rec_rmr <- 0;
       if in_cs_or_exit p.region then t.occupied <- t.occupied - 1;
       p.region <- Event.Remainder);

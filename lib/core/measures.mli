@@ -123,13 +123,24 @@ val remote_accesses : Trace.t -> nprocs:int -> int array
     over recent events, or the model checker's truncate/undo — keep a
     {!Cfc_runtime.Trace.t} sink for those (small n only).
 
+    Each process keeps {e one} register table: register id ↦ the index
+    of its own last access to it (the holder stamp above) packed with
+    a read/write bit pair per accumulator — whole run, contention-free
+    regions, entry window, exit fragment, recovery fragment.  Each
+    resettable window records the event index of its last reset, and
+    its pair for a register is valid iff the register's stamp is no
+    older; every access rewrites all five pairs, so a pair left stale
+    by a reset reads as zero from its next touch on.  A window reset is
+    therefore O(1), and an access costs two table probes (the process's
+    own table and the registers' last writes).
+
     Memory is O(touched registers + per-pid accumulators + completed
     fragments): per-process state is allocated lazily at a pid's first
-    event, and every table (last writes, a pid's stamps, its
-    distinct-register sets) grows with registers actually touched,
-    never with [nprocs].  Feeding an event allocates nothing beyond the
-    occasional table doubling, a pid's first event, a register's first
-    touch and a completed fragment or decision. *)
+    event, and both tables (last writes, a pid's registers) grow with
+    registers actually touched, never with [nprocs].  Feeding an event
+    allocates nothing beyond the occasional table doubling, a pid's
+    first event, a register's first touch and a completed fragment or
+    decision. *)
 module Online : sig
   type t
 

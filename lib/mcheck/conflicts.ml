@@ -31,7 +31,7 @@ let observer t ~pid ~reg ~kind =
     Hashtbl.add t.seen key
       { pid;
         rid = reg.Cfc_runtime.Register.id;
-        reg = reg.Cfc_runtime.Register.name;
+        reg = Cfc_runtime.Register.name reg;
         cls;
         is_write = Cfc_runtime.Event.is_write kind };
   Mutex.unlock t.lock

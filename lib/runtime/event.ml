@@ -44,22 +44,22 @@ and body =
 let pp ppf e =
   match e.body with
   | Access (r, A_read v) ->
-    Format.fprintf ppf "%4d p%d read  %s -> %d" e.seq e.pid r.Register.name v
+    Format.fprintf ppf "%4d p%d read  %s -> %d" e.seq e.pid (Register.name r) v
   | Access (r, A_write v) ->
-    Format.fprintf ppf "%4d p%d write %s := %d" e.seq e.pid r.Register.name v
+    Format.fprintf ppf "%4d p%d write %s := %d" e.seq e.pid (Register.name r) v
   | Access (r, A_field (index, width, v)) ->
     Format.fprintf ppf "%4d p%d write %s[%d:%d] := %d" e.seq e.pid
-      r.Register.name index width v
+      (Register.name r) index width v
   | Access (r, A_xchg (v, old)) ->
     Format.fprintf ppf "%4d p%d xchg  %s := %d -> %d" e.seq e.pid
-      r.Register.name v old
+      (Register.name r) v old
   | Access (r, A_cas (expected, v, success)) ->
     Format.fprintf ppf "%4d p%d cas   %s (%d -> %d) %s" e.seq e.pid
-      r.Register.name expected v
+      (Register.name r) expected v
       (if success then "ok" else "failed")
   | Access (r, A_bit (op, ret)) ->
     Format.fprintf ppf "%4d p%d %s %s%s" e.seq e.pid (Ops.to_string op)
-      r.Register.name
+      (Register.name r)
       (match ret with None -> "" | Some v -> Printf.sprintf " -> %d" v)
   | Region_change reg ->
     Format.fprintf ppf "%4d p%d enters %a" e.seq e.pid pp_region reg

@@ -39,7 +39,8 @@ let validate ~nprocs plan =
     plan;
   (* Exact duplicates first: they would also fail the alternation check
      below, but deserve a more direct message. *)
-  let seen = Hashtbl.create 16 in
+  let size = List.length plan in
+  let seen = Hashtbl.create size in
   List.iter
     (fun p ->
       if Hashtbl.mem seen (p.step, p.pid, p.kind) then
@@ -49,25 +50,26 @@ let validate ~nprocs plan =
   let plan = sort plan in
   (* Per pid, faults must alternate crash / recover starting with a
      crash: you cannot crash a process that is already crashed, nor
-     recover one that is not. *)
-  let crashed = Array.make nprocs false in
+     recover one that is not.  The crashed set is sized by the plan,
+     not by [nprocs]: an empty plan costs O(1) at any process count. *)
+  let crashed = Hashtbl.create size in
   List.iter
     (fun p ->
       match p.kind with
       | Crash ->
-        if crashed.(p.pid) then
+        if Hashtbl.mem crashed p.pid then
           invalidf
             "Fault.validate: %a: p%d is already crashed at that point \
              (missing an intervening recover)"
             pp_point p p.pid;
-        crashed.(p.pid) <- true
+        Hashtbl.replace crashed p.pid ()
       | Recover ->
-        if not crashed.(p.pid) then
+        if not (Hashtbl.mem crashed p.pid) then
           invalidf
             "Fault.validate: %a: p%d is not crashed at that point \
              (recover must follow a crash)"
             pp_point p p.pid;
-        crashed.(p.pid) <- false)
+        Hashtbl.remove crashed p.pid)
     plan;
   plan
 

@@ -30,7 +30,8 @@ val validate : nprocs:int -> plan -> plan
 (** Check a plan and return it sorted by step (stably, preserving plan
     order within a step).  Raises [Invalid_argument] with a descriptive
     message on: out-of-range or negative fields, exact duplicate points,
-    crashing an already-crashed pid, or recovering a non-crashed pid. *)
+    crashing an already-crashed pid, or recovering a non-crashed pid.
+    Costs O(plan length) time and space, whatever [nprocs]. *)
 
 val chaos : seed:int -> nprocs:int -> pairs:int -> horizon:int -> plan
 (** Seeded random fault schedule: [pairs] crash–recovery pairs spread

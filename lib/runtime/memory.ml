@@ -8,19 +8,23 @@ type t = {
 
 let create () = { regs = []; next = 0; regs_arr = [||] }
 
-let alloc ?name ?model ~width ~init t =
+let add t ~base ~index ~model ~width ~init =
   let id = t.next in
-  let name = match name with Some n -> n | None -> Printf.sprintf "r%d" id in
-  let r = Register.make ~id ~name ~width ~model ~init in
+  let r = Register.make ~id ~base ~index ~width ~model ~init in
   t.next <- id + 1;
   t.regs <- r :: t.regs;
   t.regs_arr <- [||];
   r
 
+let alloc ?name ?model ~width ~init t =
+  let base =
+    match name with Some n -> n | None -> Printf.sprintf "r%d" t.next
+  in
+  add t ~base ~index:(-1) ~model ~width ~init
+
 let alloc_array ?name ?model ~width ~init t k =
   let base = match name with Some n -> n | None -> "a" in
-  Array.init k (fun i ->
-      alloc ~name:(Printf.sprintf "%s[%d]" base i) ?model ~width ~init t)
+  Array.init k (fun index -> add t ~base ~index ~model ~width ~init)
 
 let registers t = List.rev t.regs
 let size t = t.next
@@ -61,7 +65,8 @@ let restore_values t a =
 
 let dump t =
   registers t
-  |> List.map (fun r -> Printf.sprintf "%s=%d" r.Register.name r.Register.value)
+  |> List.map (fun r ->
+         Printf.sprintf "%s=%d" (Register.name r) r.Register.value)
   |> String.concat " "
 
 let fingerprint t =

@@ -18,7 +18,8 @@ val alloc :
 val alloc_array :
   ?name:string -> ?model:Cfc_base.Model.t -> width:int -> init:int -> t ->
   int -> Register.t array
-(** [alloc_array t k]: registers named ["name[0]" … "name[k-1]"]. *)
+(** [alloc_array t k]: registers named ["name[0]" … "name[k-1]"] (default
+    ["a"]).  The element names are rendered lazily by {!Register.name}. *)
 
 val registers : t -> Register.t list
 (** All allocated registers, in allocation order. *)

@@ -2,12 +2,18 @@ open Cfc_base
 
 type t = {
   id : int;
-  name : string;
+  base : string;
+  index : int;
   width : int;
   model : Model.t option;
   init : int;
   mutable value : int;
 }
+
+(* Rendered on demand: an arena of 2^17 array elements would otherwise
+   pay one [sprintf] per register at allocation. *)
+let name r =
+  if r.index < 0 then r.base else Printf.sprintf "%s[%d]" r.base r.index
 
 let fits ~width v = v >= 0 && (width >= 62 || v < 1 lsl width)
 
@@ -20,22 +26,23 @@ let check_fits r ~op v =
     invalid_arg
       (Printf.sprintf
          "register %s: %s value %d does not fit in declared width %d bits"
-         r.name op v r.width)
+         (name r) op v r.width)
 
-let make ~id ~name ~width ~model ~init =
+let make ~id ~base ~index ~width ~model ~init =
+  let r = { id; base; index; width; model; init; value = init } in
   if width < 1 || width > 62 then
-    invalid_arg (Printf.sprintf "Register.make %s: width %d" name width);
+    invalid_arg (Printf.sprintf "Register.make %s: width %d" (name r) width);
   if not (fits ~width init) then
     invalid_arg
       (Printf.sprintf "Register.make %s: init %d does not fit in %d bits"
-         name init width);
+         (name r) init width);
   (match model with
   | Some _ when width <> 1 ->
     invalid_arg
       (Printf.sprintf "Register.make %s: operation models apply to bits only"
-         name)
+         (name r))
   | _ -> ());
-  { id; name; width; model; init; value = init }
+  r
 
 let require_op r op =
   match r.model with
@@ -43,7 +50,7 @@ let require_op r op =
   | Some m ->
     if not (Model.mem op m) then
       invalid_arg
-        (Printf.sprintf "register %s: operation %s not in model %s" r.name
+        (Printf.sprintf "register %s: operation %s not in model %s" (name r)
            (Ops.to_string op) (Model.to_string m))
 
 let read r =
@@ -61,7 +68,7 @@ let bit_op r op =
   if r.width <> 1 then
     invalid_arg
       (Printf.sprintf "register %s: bit operations need a 1-bit register"
-         r.name);
+         (name r));
   require_op r op;
   let v', ret = Ops.apply op r.value in
   r.value <- v';
@@ -72,16 +79,16 @@ let write_field r ~index ~width v =
   | Some _ ->
     invalid_arg
       (Printf.sprintf "register %s: write_field on a model-restricted bit"
-         r.name)
+         (name r))
   | None -> ());
   if width < 1 || index < 0 || (index + 1) * width > r.width then
     invalid_arg
-      (Printf.sprintf "register %s: field %d of width %d out of range" r.name
-         index width);
+      (Printf.sprintf "register %s: field %d of width %d out of range"
+         (name r) index width);
   if not (fits ~width v) then
     invalid_arg
       (Printf.sprintf "register %s: field value %d does not fit in %d bits"
-         r.name v width);
+         (name r) v width);
   let shift = index * width in
   let mask = ((1 lsl width) - 1) lsl shift in
   r.value <- r.value land lnot mask lor (v lsl shift)
@@ -90,7 +97,8 @@ let require_plain r what =
   match r.model with
   | Some _ ->
     invalid_arg
-      (Printf.sprintf "register %s: %s on a model-restricted bit" r.name what)
+      (Printf.sprintf "register %s: %s on a model-restricted bit" (name r)
+         what)
   | None -> ()
 
 let fetch_and_store r v =
@@ -114,4 +122,4 @@ let reset r = r.value <- r.init
 let restore r v = r.value <- v
 
 let pp ppf r =
-  Format.fprintf ppf "%s#%d[w=%d]=%d" r.name r.id r.width r.value
+  Format.fprintf ppf "%s#%d[w=%d]=%d" (name r) r.id r.width r.value

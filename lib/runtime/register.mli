@@ -10,7 +10,8 @@
 
 type t = private {
   id : int;          (** unique within the owning {!Memory.t} arena *)
-  name : string;     (** for traces and error messages *)
+  base : string;     (** the name, or the array's name for an element *)
+  index : int;       (** position in its array; [-1] for a scalar *)
   width : int;       (** size in bits, 1..62 *)
   model : Cfc_base.Model.t option;
       (** [Some m]: a §3.1 bit register supporting exactly the ops of [m];
@@ -20,10 +21,17 @@ type t = private {
 }
 
 val make :
-  id:int -> name:string -> width:int -> model:Cfc_base.Model.t option ->
-  init:int -> t
-(** Raises [Invalid_argument] on a bad width, an init that does not fit,
-    or a model given for a register wider than one bit. *)
+  id:int -> base:string -> index:int -> width:int ->
+  model:Cfc_base.Model.t option -> init:int -> t
+(** [make ~base ~index:(-1)] is a scalar named [base]; [~index:i] with
+    [i >= 0] is element [i] of the array [base].  Raises
+    [Invalid_argument] on a bad width, an init that does not fit, or a
+    model given for a register wider than one bit. *)
+
+val name : t -> string
+(** The register's name for traces and error messages: [base] for a
+    scalar, ["base[index]"] for an array element.  Rendered on each
+    call, so allocating a large array builds no strings. *)
 
 val read : t -> int
 (** Semantic read.  Raises [Invalid_argument] if the register's model does

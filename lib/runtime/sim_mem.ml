@@ -1,6 +1,6 @@
 open Cfc_base
 
-let mem arena : Mem_intf.mem =
+let typed arena : (module Mem_intf.MEM with type reg = Register.t) =
   (module struct
     type reg = Register.t
 
@@ -26,4 +26,8 @@ let mem arena : Mem_intf.mem =
     let compare_and_set r ~expected v =
       Effect.perform (Proc.E_cas (r, expected, v))
     let pause () = Effect.perform Proc.E_pause
-  end : Mem_intf.MEM)
+  end)
+
+let mem arena : Mem_intf.mem =
+  let module M = (val typed arena) in
+  (module M)

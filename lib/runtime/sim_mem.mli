@@ -10,3 +10,9 @@ val mem : Memory.t -> Cfc_base.Mem_intf.mem
     [read]/[write]/[bit_op] must only be called from code running under
     {!Proc.start} (i.e. inside a scheduled process); calling them outside
     raises [Effect.Unhandled]. *)
+
+val typed : Memory.t -> (module Cfc_base.Mem_intf.MEM with type reg = Register.t)
+(** {!mem} with its register type exposed: a harness that allocates
+    through the backend can read its own registers back with
+    {!Register.read} once the run is over, without searching the arena
+    by name. *)

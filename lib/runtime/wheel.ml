@@ -20,17 +20,20 @@ type pstate = {
   mutable queued : bool;
 }
 
-(* Calendar-queue entry.  [e_seq] is a global insertion counter: the heap
-   order is (tick, insertion order), i.e. FIFO within a tick, which makes
-   the whole run deterministic in its inputs. *)
-type entry = { e_tick : int; e_seq : int; e_pid : int; e_epoch : int }
-
 type t = {
   sink : sink;
   spawn : int -> unit -> unit;
   nprocs : int;
   procs : (int, pstate) Hashtbl.t;
-  mutable heap : entry array;
+  (* The calendar queue: a binary min-heap of entries stored column-wise
+     in four parallel arrays, so a push or pop allocates nothing.  Entry
+     [i] is (tick, seq, pid, epoch); [h_seq] is a global insertion
+     counter, so the heap order (tick, insertion order) is FIFO within a
+     tick, which makes the whole run deterministic in its inputs. *)
+  mutable h_tick : int array;
+  mutable h_seq : int array;
+  mutable h_pid : int array;
+  mutable h_epoch : int array;
   mutable hlen : int;
   mutable hseq : int;
   mutable now : int;
@@ -40,12 +43,11 @@ type t = {
   mutable live_peak : int;
 }
 
-let dummy_entry = { e_tick = 0; e_seq = 0; e_pid = 0; e_epoch = 0 }
-
 let create ?(sink = null_sink) ?(faults = []) ~nprocs ~spawn () =
   { sink; spawn; nprocs;
     procs = Hashtbl.create 64;
-    heap = Array.make 64 dummy_entry;
+    h_tick = Array.make 64 0; h_seq = Array.make 64 0;
+    h_pid = Array.make 64 0; h_epoch = Array.make 64 0;
     hlen = 0; hseq = 0; now = 0; turns = 0;
     pending = Fault.validate ~nprocs faults;
     first_error = None; live_peak = 0 }
@@ -53,57 +55,77 @@ let create ?(sink = null_sink) ?(faults = []) ~nprocs ~spawn () =
 (* ------------------------------------------------------------------ *)
 (* Binary min-heap on (tick, insertion seq)                            *)
 
-let entry_less a b =
-  a.e_tick < b.e_tick || (a.e_tick = b.e_tick && a.e_seq < b.e_seq)
+(* Both sifts move a hole instead of swapping: the moving entry stays in
+   locals and is written once, where the hole stops. *)
 
-let heap_push t e =
-  if t.hlen = Array.length t.heap then begin
-    let bigger = Array.make (2 * t.hlen) dummy_entry in
-    Array.blit t.heap 0 bigger 0 t.hlen;
-    t.heap <- bigger
-  end;
+let[@inline] before t i j =
+  let a = t.h_tick.(i) and b = t.h_tick.(j) in
+  a < b || (a = b && t.h_seq.(i) < t.h_seq.(j))
+
+let[@inline] key_before t ~tick ~seq j =
+  let b = t.h_tick.(j) in
+  tick < b || (tick = b && seq < t.h_seq.(j))
+
+let move t ~src ~dst =
+  t.h_tick.(dst) <- t.h_tick.(src);
+  t.h_seq.(dst) <- t.h_seq.(src);
+  t.h_pid.(dst) <- t.h_pid.(src);
+  t.h_epoch.(dst) <- t.h_epoch.(src)
+
+let set t i ~tick ~seq ~pid ~epoch =
+  t.h_tick.(i) <- tick;
+  t.h_seq.(i) <- seq;
+  t.h_pid.(i) <- pid;
+  t.h_epoch.(i) <- epoch
+
+let grow t =
+  let widen a =
+    let b = Array.make (2 * Array.length a) 0 in
+    Array.blit a 0 b 0 t.hlen;
+    b
+  in
+  t.h_tick <- widen t.h_tick;
+  t.h_seq <- widen t.h_seq;
+  t.h_pid <- widen t.h_pid;
+  t.h_epoch <- widen t.h_epoch
+
+let heap_push t ~tick ~pid ~epoch =
+  if t.hlen = Array.length t.h_tick then grow t;
+  let seq = t.hseq in
+  t.hseq <- seq + 1;
   let i = ref t.hlen in
-  t.heap.(!i) <- e;
   t.hlen <- t.hlen + 1;
   if t.hlen > t.live_peak then t.live_peak <- t.hlen;
-  let continue = ref true in
-  while !continue && !i > 0 do
+  while !i > 0 && key_before t ~tick ~seq ((!i - 1) / 2) do
     let parent = (!i - 1) / 2 in
-    if entry_less t.heap.(!i) t.heap.(parent) then begin
-      let tmp = t.heap.(parent) in
-      t.heap.(parent) <- t.heap.(!i);
-      t.heap.(!i) <- tmp;
-      i := parent
-    end
-    else continue := false
-  done
+    move t ~src:parent ~dst:!i;
+    i := parent
+  done;
+  set t !i ~tick ~seq ~pid ~epoch
 
-let heap_pop t =
-  if t.hlen = 0 then None
-  else begin
-    let top = t.heap.(0) in
-    t.hlen <- t.hlen - 1;
-    if t.hlen > 0 then begin
-      t.heap.(0) <- t.heap.(t.hlen);
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < t.hlen && entry_less t.heap.(l) t.heap.(!smallest) then
-          smallest := l;
-        if r < t.hlen && entry_less t.heap.(r) t.heap.(!smallest) then
-          smallest := r;
-        if !smallest <> !i then begin
-          let tmp = t.heap.(!smallest) in
-          t.heap.(!smallest) <- t.heap.(!i);
-          t.heap.(!i) <- tmp;
-          i := !smallest
+(* Drop the top entry (the caller has read its columns): the last entry
+   sifts down from the root. *)
+let heap_remove_top t =
+  let n = t.hlen - 1 in
+  t.hlen <- n;
+  if n > 0 then begin
+    let tick = t.h_tick.(n) and seq = t.h_seq.(n) in
+    let pid = t.h_pid.(n) and epoch = t.h_epoch.(n) in
+    let i = ref 0 in
+    let continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 in
+      if l >= n then continue := false
+      else begin
+        let c = if l + 1 < n && before t (l + 1) l then l + 1 else l in
+        if key_before t ~tick ~seq c then continue := false
+        else begin
+          move t ~src:c ~dst:!i;
+          i := c
         end
-        else continue := false
-      done
-    end;
-    Some top
+      end
+    done;
+    set t !i ~tick ~seq ~pid ~epoch
   end
 
 (* ------------------------------------------------------------------ *)
@@ -126,9 +148,7 @@ let emit t p body = t.sink ~pid:p.pid body
 let push t ~tick p =
   if not p.queued then begin
     p.queued <- true;
-    heap_push t
-      { e_tick = tick; e_seq = t.hseq; e_pid = p.pid; e_epoch = p.epoch };
-    t.hseq <- t.hseq + 1
+    heap_push t ~tick ~pid:p.pid ~epoch:p.epoch
   end
 
 let wake ?at t pid =
@@ -327,37 +347,40 @@ let turn t p =
 
 type stopped = Quiescent | Out_of_turns
 
+(* Pop entries until one is valid — not stale from a crash since it was
+   queued (epoch mismatch) — and claim its process, advancing the clock
+   to its tick.  Raises [Not_found] once the heap is drained. *)
+let rec pop_valid t =
+  if t.hlen = 0 then raise_notrace Not_found;
+  let tick = t.h_tick.(0) and pid = t.h_pid.(0) and epoch = t.h_epoch.(0) in
+  heap_remove_top t;
+  match Hashtbl.find t.procs pid with
+  | exception Not_found -> pop_valid t
+  | p ->
+    let runnable = match p.status with Runnable -> true | _ -> false in
+    if p.epoch = epoch && p.queued && runnable then begin
+      p.queued <- false;
+      if tick > t.now then t.now <- tick;
+      p
+    end
+    else pop_valid t
+
 let run ?(max_turns = max_int) t =
   let result = ref None in
   while !result = None do
     apply_due t;
     if t.turns >= max_turns then result := Some Out_of_turns
-    else begin
-      (* Pop the next valid entry, dropping stale ones (crashed since
-         they were queued: epoch mismatch). *)
-      let rec next () =
-        match heap_pop t with
-        | None -> None
-        | Some e -> (
-          match Hashtbl.find_opt t.procs e.e_pid with
-          | Some p
-            when p.epoch = e.e_epoch && p.queued && p.status = Runnable ->
-            p.queued <- false;
-            Some (e, p)
-          | Some _ | None -> next ())
-      in
-      match next () with
-      | Some (e, p) ->
-        if e.e_tick > t.now then t.now <- e.e_tick;
+    else
+      match pop_valid t with
+      | p ->
         t.turns <- t.turns + 1;
         turn t p
-      | None -> (
+      | exception Not_found -> (
         (* Heap drained.  Pending faults keep the run alive: jump the
            turn clock so the next fault (typically a recover) fires. *)
         match t.pending with
         | [] -> result := Some Quiescent
         | f :: _ -> t.turns <- max t.turns f.Fault.step)
-    end
   done;
   Option.get !result
 

@@ -9,7 +9,9 @@
     - a calendar queue (binary min-heap keyed by wake tick, FIFO within a
       tick) holds only processes that are runnable {e now} or parked on a
       {!Proc.sleep} timer — a process idling in its remainder section
-      costs zero per turn;
+      costs zero per turn.  The heap is flat (its entries are columns of
+      four [int] arrays: tick, insertion number, pid, epoch), so queueing
+      and popping allocate nothing;
     - per-process state is sparse (a hash table) and spawned lazily: a
       process materialises at its first {!wake}, so a solo run over an
       [n = 10^6] arena allocates one process record, not [10^6];
@@ -51,7 +53,8 @@ val create :
 (** [create ~nprocs ~spawn ()]: a wheel over pids [0..nprocs-1] where
     process [i] runs [spawn i] (called once, at the process's first
     {!wake} — lazy spawn).  [faults] is validated against [nprocs].
-    Nothing runs until woken. *)
+    Nothing runs until woken.  Costs O(length of [faults]) whatever
+    [nprocs]. *)
 
 val wake : ?at:int -> t -> int -> unit
 (** Queue a process to run at tick [at] (default: the current {!now}).

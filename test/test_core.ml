@@ -267,6 +267,125 @@ let test_online_pid_range () =
   Alcotest.(check int) "only valid pids spawned" 2
     (Measures.Online.spawned online)
 
+(* Window resets on hand-built traces.  The streaming fold keeps one
+   register table per process whose r/w bits per window are valid only
+   if the register's stamp postdates the window's last reset, so these
+   pin every way a window restarts over registers it saw before: the
+   materialised measures are the reference, and the expected samples
+   below keep both honest. *)
+let check_online_matches ~what t ~nprocs =
+  let online = Measures.Online.create ~nprocs in
+  Measures.Online.feed_trace online t;
+  let eq tag a b = check_bool (what ^ ": " ^ tag) true (a = b) in
+  eq "per_process"
+    (Array.to_list (Measures.Online.per_process online))
+    (Array.to_list (Measures.per_process_samples t ~nprocs));
+  for pid = 0 to nprocs - 1 do
+    eq "contention_free"
+      (Measures.Online.contention_free online ~pid)
+      (Measures.mutex_contention_free t ~nprocs ~pid)
+  done;
+  eq "wc_entries" (Measures.Online.wc_entries online)
+    (Measures.mutex_wc_entry t ~nprocs);
+  eq "wc_exits" (Measures.Online.wc_exits online)
+    (Measures.mutex_wc_exit t ~nprocs);
+  eq "recovery_paths" (Measures.Online.recovery_paths online)
+    (Measures.recovery_paths t ~nprocs);
+  eq "recovery_rmr" (Measures.Online.recovery_rmr online)
+    (Measures.recovery_rmr t ~nprocs);
+  eq "remote_accesses"
+    (Array.to_list (Measures.Online.remote_accesses online))
+    (Array.to_list (Measures.remote_accesses t ~nprocs))
+
+let sample ~steps ~regs ~r ~w ~rr ~wr =
+  { Measures.steps; registers = regs; read_steps = r; write_steps = w;
+    read_registers = rr; write_registers = wr }
+
+let check_samples what expected got =
+  if expected <> got then
+    Alcotest.failf "%s: expected %a, got %a" what Measures.pp_sample expected
+      Measures.pp_sample got
+
+let test_online_window_resets () =
+  let r1, r2, r3 =
+    match Memory.alloc_array ~name:"r" ~width:4 ~init:0 (Memory.create ()) 3 with
+    | [| r1; r2; r3 |] -> (r1, r2, r3)
+    | _ -> assert false
+  in
+  (* Entry window reset by an occupied pre-state in the middle of p0's
+     Trying, twice (p0 even accesses r1 while p1 occupies its critical
+     section), then re-accesses of r1 and r2 touched before the reset. *)
+  let t = Trace.create () in
+  let ev pid body = ignore (Trace.record t ~pid body) in
+  ev 0 (Event.Region_change Event.Trying);
+  ev 0 (Event.Access (r1, Event.A_read 0));
+  ev 0 (Event.Access (r2, Event.A_write 1));
+  ev 1 (Event.Region_change Event.Trying);
+  ev 1 (Event.Region_change Event.Critical);
+  ev 0 (Event.Access (r1, Event.A_read 0));  (* occupied: not in window *)
+  ev 1 (Event.Region_change Event.Exiting);
+  ev 1 (Event.Access (r1, Event.A_write 2));
+  ev 1 (Event.Region_change Event.Remainder);
+  ev 0 (Event.Access (r1, Event.A_read 2));  (* window starts here *)
+  ev 0 (Event.Access (r1, Event.A_write 3));
+  ev 0 (Event.Access (r3, Event.A_read 0));
+  ev 0 (Event.Access (r2, Event.A_read 1));
+  ev 0 (Event.Region_change Event.Critical);
+  check_online_matches ~what:"entry reset mid-Trying" t ~nprocs:2;
+  (match Measures.mutex_wc_entry t ~nprocs:2 with
+  | [ (1, _); (0, s) ] ->
+    check_samples "p0 window counts only post-reset accesses"
+      (sample ~steps:4 ~regs:3 ~r:3 ~w:1 ~rr:3 ~wr:1) s
+  | _ -> Alcotest.fail "expected two entry windows");
+  check_samples "p0 cf covers the whole Trying section"
+    (sample ~steps:7 ~regs:3 ~r:5 ~w:2 ~rr:3 ~wr:2)
+    (Measures.mutex_contention_free t ~nprocs:2 ~pid:0);
+  (* Exiting -> Exiting restarts the exit fragment: the second fragment
+     re-touches r1 and r2 from the abandoned first one. *)
+  let t = Trace.create () in
+  let ev pid body = ignore (Trace.record t ~pid body) in
+  ev 0 (Event.Region_change Event.Trying);
+  ev 0 (Event.Access (r1, Event.A_read 0));
+  ev 0 (Event.Region_change Event.Critical);
+  ev 0 (Event.Region_change Event.Exiting);
+  ev 0 (Event.Access (r1, Event.A_write 1));
+  ev 0 (Event.Access (r2, Event.A_read 0));
+  ev 0 (Event.Access (r3, Event.A_write 1));
+  ev 0 (Event.Region_change Event.Exiting);
+  ev 0 (Event.Access (r2, Event.A_write 2));
+  ev 0 (Event.Access (r1, Event.A_write 0));
+  ev 0 (Event.Region_change Event.Remainder);
+  check_online_matches ~what:"exit restart" t ~nprocs:1;
+  (match Measures.mutex_wc_exit t ~nprocs:1 with
+  | [ (0, s) ] ->
+    check_samples "restarted exit fragment"
+      (sample ~steps:2 ~regs:2 ~r:0 ~w:2 ~rr:0 ~wr:2) s
+  | _ -> Alcotest.fail "expected one exit fragment");
+  (* A recovery window reopened after a crash during recovery: the new
+     incarnation re-touches the previous ones' registers, and its path
+     and RMR count only its own accesses (all cold after the crash). *)
+  let t = Trace.create () in
+  let ev pid body = ignore (Trace.record t ~pid body) in
+  ev 0 (Event.Region_change Event.Trying);
+  ev 0 (Event.Access (r1, Event.A_write 1));
+  ev 0 Event.Crash;
+  ev 0 Event.Recover;
+  ev 0 (Event.Access (r1, Event.A_read 1));
+  ev 0 (Event.Access (r2, Event.A_write 1));
+  ev 0 Event.Crash;
+  ev 0 Event.Recover;
+  ev 0 (Event.Access (r2, Event.A_read 1));
+  ev 0 (Event.Access (r1, Event.A_write 2));
+  ev 0 (Event.Access (r2, Event.A_read 1));
+  ev 0 (Event.Region_change Event.Critical);
+  check_online_matches ~what:"recovery reopened" t ~nprocs:1;
+  (match (Measures.recovery_paths t ~nprocs:1, Measures.recovery_rmr t ~nprocs:1) with
+  | [ (0, s) ], [ (0, rmr) ] ->
+    check_samples "reopened recovery path"
+      (sample ~steps:3 ~regs:2 ~r:2 ~w:1 ~rr:1 ~wr:1) s;
+    check "cold registers of the last incarnation" 2 rmr
+  | _ -> Alcotest.fail "expected one completed recovery")
+
 (* Every recoverable lock's exact recovery costs, via the harness (which
    itself goes through [Measures.recovery_paths]): every crash point
    yields a completed recovery ([Stalled] would be a deadlock
@@ -811,6 +930,8 @@ let () =
             test_holder_stamps;
           Alcotest.test_case "online pid range check" `Quick
             test_online_pid_range;
+          Alcotest.test_case "online window resets" `Quick
+            test_online_window_resets;
           Alcotest.test_case "exact recovery cost (all recoverable locks)"
             `Quick test_recoverable_recovery_exact;
           Alcotest.test_case "double-crash sweep (crash during recovery)"

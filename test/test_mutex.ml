@@ -354,7 +354,7 @@ let test_kessels_single_writer () =
       match e.Cfc_runtime.Event.body with
       | Cfc_runtime.Event.Access (r, k)
         when Cfc_runtime.Event.is_write k
-             && r.Cfc_runtime.Register.name <> "cs.witness" ->
+             && Cfc_runtime.Register.name r <> "cs.witness" ->
         let id = r.Cfc_runtime.Register.id in
         let known =
           Option.value ~default:[] (Hashtbl.find_opt writers id)
@@ -425,7 +425,7 @@ let test_bakery_fifo () =
       let pid = e.Cfc_runtime.Event.pid in
       match e.Cfc_runtime.Event.body with
       | Cfc_runtime.Event.Access (r, Cfc_runtime.Event.A_write v)
-        when r.Cfc_runtime.Register.name = Printf.sprintf "choosing[%d]" pid
+        when Cfc_runtime.Register.name r = Printf.sprintf "choosing[%d]" pid
         ->
         if v = 1 then
           doorway_enter.(pid) <- e.Cfc_runtime.Event.seq :: doorway_enter.(pid)

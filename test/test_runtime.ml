@@ -102,7 +102,7 @@ let test_round_robin_interleaving () =
     Trace.to_list out.Runner.trace
     |> List.filter_map (fun e ->
            match e.Event.body with
-           | Event.Access (r, k) -> Some (e.Event.pid, r.Register.name, k)
+           | Event.Access (r, k) -> Some (e.Event.pid, Register.name r, k)
            | Event.Region_change _ | Event.Crash | Event.Recover -> None)
   in
   match evs with
@@ -282,7 +282,7 @@ let check_invalid name substr f =
 (* Final value of the register named [name] in [memory] (registers are
    abstract through [MEM], so post-mortem reads go through the arena). *)
 let final_value memory name =
-  (List.find (fun r -> r.Register.name = name) (Memory.registers memory))
+  (List.find (fun r -> Register.name r = name) (Memory.registers memory))
     .Register.value
 
 let test_fault_validation () =
@@ -657,6 +657,31 @@ let test_width_errors_descriptive () =
   check_invalid "names the register" "register wide" (fun () ->
       Register.write r 16)
 
+(* Array elements are named lazily ([Register.name] renders "base[i]" on
+   demand), and every rendering — the name itself, [Memory.dump], the
+   width error, [Event.pp] — spells the element exactly as an eagerly
+   named register would. *)
+let test_array_element_names () =
+  let m = Memory.create () in
+  let rs = Memory.alloc_array ~name:"choosing" ~width:2 ~init:0 m 4 in
+  let unnamed = Memory.alloc_array ~width:1 ~init:0 m 2 in
+  let scalar = Memory.alloc ~width:1 ~init:0 m in
+  Alcotest.(check string) "element name" "choosing[3]" (Register.name rs.(3));
+  Alcotest.(check string) "default array name" "a[1]"
+    (Register.name unnamed.(1));
+  Alcotest.(check string) "default scalar name" "r6" (Register.name scalar);
+  Register.write rs.(3) 2;
+  Alcotest.(check string) "dump"
+    "choosing[0]=0 choosing[1]=0 choosing[2]=0 choosing[3]=2 a[0]=0 a[1]=0 r6=0"
+    (Memory.dump m);
+  check_invalid "width error names the element"
+    "register choosing[3]: write value 4 does not fit in declared width 2"
+    (fun () -> Register.write rs.(3) 4);
+  let tr = Trace.create () in
+  let e = Trace.record tr ~pid:1 (Event.Access (rs.(3), Event.A_read 2)) in
+  Alcotest.(check string) "event rendering" "   0 p1 read  choosing[3] -> 2"
+    (Format.asprintf "%a" Event.pp e)
+
 let test_corrupted_bit_diagnosed () =
   (* [restore] deliberately bypasses the width check (the model checker
      and the symbolic analyzer use it to re-seat snapshots); a bit cell
@@ -824,6 +849,66 @@ let test_wheel_fifo_and_deterministic () =
   check "same turns" turns1 turns2;
   check "same steps" steps1 steps2
 
+(* Creating a wheel costs O(active set), not O(nprocs): with no faults
+   neither the wheel nor the fault-plan validation allocates anything
+   proportional to the process count. *)
+let test_wheel_create_constant_space () =
+  let before = Gc.allocated_bytes () in
+  let wheel =
+    Wheel.create ~nprocs:(1 lsl 22) ~spawn:(fun _ () -> ()) ()
+  in
+  let bytes = Gc.allocated_bytes () -. before in
+  check_bool
+    (Printf.sprintf "under 64 KB allocated (got %.0f bytes)" bytes)
+    true (bytes < 65536.);
+  check "nothing spawned" 0 (Wheel.spawned wheel)
+
+(* Heap order under load: more than 64 pending entries (past the heap's
+   initial capacity) woken at random ticks, plus entries invalidated by a
+   crash at turn 0 — some pids stay crashed, others restart at once and
+   re-enter at tick 0 behind every wake.  Each process records itself on
+   its first and only turn, so the activation order must be exactly the
+   live entries sorted by (tick, wake order). *)
+let prop_wheel_tick_then_wake_order =
+  QCheck.Test.make ~count:100 ~name:"wheel pops in (tick, wake order)"
+    QCheck.(
+      list_of_size
+        Gen.(int_range 65 160)
+        (pair (int_bound 40) (int_bound 5)))
+    (fun wakes ->
+      let wakes = Array.of_list wakes in
+      let n = Array.length wakes in
+      let order = ref [] in
+      let spawn pid () = order := pid :: !order in
+      (* fate 0: crashed for good; fate 1: crash–restart at turn 0;
+         otherwise untouched. *)
+      let faults =
+        List.concat
+          (List.init n (fun pid ->
+               match snd wakes.(pid) with
+               | 0 -> [ Fault.crash ~step:0 ~pid ]
+               | 1 -> [ Fault.crash ~step:0 ~pid; Fault.recover ~step:0 ~pid ]
+               | _ -> []))
+      in
+      let wheel = Wheel.create ~faults ~nprocs:n ~spawn () in
+      Array.iteri (fun pid (at, _) -> Wheel.wake ~at wheel pid) wakes;
+      let stopped = Wheel.run wheel in
+      (* Restarted pids are re-queued at tick 0 in plan order, after all
+         [n] wakes. *)
+      let restarted = ref n in
+      let expected =
+        List.init n (fun pid -> pid)
+        |> List.filter_map (fun pid ->
+               match wakes.(pid) with
+               | _, 0 -> None
+               | _, 1 ->
+                 incr restarted;
+                 Some ((0, !restarted), pid)
+               | (at, _) -> Some ((at, pid), pid))
+        |> List.sort compare |> List.map snd
+      in
+      stopped = Wheel.Quiescent && List.rev !order = expected)
+
 (* Trace folds must be stack-safe on recording-scale traces: a million
    events through fold and fold_states without overflow. *)
 let test_trace_fold_million_events () =
@@ -851,7 +936,9 @@ let () =
           Alcotest.test_case "width errors descriptive" `Quick
             test_width_errors_descriptive;
           Alcotest.test_case "corrupted bit diagnosed" `Quick
-            test_corrupted_bit_diagnosed ] );
+            test_corrupted_bit_diagnosed;
+          Alcotest.test_case "array element names" `Quick
+            test_array_element_names ] );
       ( "scheduler",
         [ Alcotest.test_case "round robin interleaving" `Quick
             test_round_robin_interleaving;
@@ -907,4 +994,7 @@ let () =
           Alcotest.test_case "fault restart is fresh" `Quick
             test_wheel_fault_restart_fresh;
           Alcotest.test_case "same-tick FIFO + determinism" `Quick
-            test_wheel_fifo_and_deterministic ] ) ]
+            test_wheel_fifo_and_deterministic;
+          Alcotest.test_case "create is O(1) in nprocs" `Quick
+            test_wheel_create_constant_space;
+          QCheck_alcotest.to_alcotest prop_wheel_tick_then_wake_order ] ) ]
